@@ -75,14 +75,14 @@ fn bench_vote_engine(c: &mut Criterion) {
     settings.push(("engine_1cm_auto", Parallelism::Auto));
     for (name, par) in settings {
         let engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), par);
-        engine.build_table();
+        engine.prebuild();
         c.bench_function(name, |b| {
             b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
         });
     }
 
     let engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
-    engine.build_table();
+    engine.prebuild();
     let window = GridWindow::around(engine.grid(), Point2::new(1.2, 0.9), 0.2);
     c.bench_function("engine_1cm_windowed", |b| {
         b.iter(|| black_box(engine.evaluate_windowed(black_box(&ms), &window).argmax()))
@@ -94,7 +94,7 @@ fn bench_vote_engine(c: &mut Criterion) {
     use rfidraw::core::engine::TablePrecision;
     let mut engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
     engine.set_precision(TablePrecision::F32);
-    engine.build_table_f32();
+    engine.prebuild();
     c.bench_function("engine_1cm_f32", |b| {
         b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
     });
@@ -173,14 +173,14 @@ fn bench_baseline_locate(c: &mut Criterion) {
     });
 }
 
-/// Serving-layer overhead: routing, sharded registry lookup, bounded
+/// Serving-layer queue overhead: routing, sharded registry lookup, bounded
 /// queueing, and round-robin draining of a fixed read budget spread over
 /// 1 to 10240 concurrent sessions (the 1k/10k points are the
 /// 100k-session serving trajectory at bench-affordable scale). The reads
-/// carry an antenna outside the deployment so the tracker ignores them —
-/// the tracker kernels are benched separately above; this isolates what
-/// the service itself costs per read.
-fn bench_serve_ingest(c: &mut Criterion) {
+/// carry an antenna outside the deployment so no tracker ever runs —
+/// hence `serve_queue_*`: this measures what queueing costs per read, not
+/// tracking (the tracker kernels are benched separately above).
+fn bench_serve_queue(c: &mut Criterion) {
     use rfidraw::core::array::AntennaId;
     use rfidraw::core::stream::PhaseRead;
     use rfidraw::protocol::Epc;
@@ -202,7 +202,7 @@ fn bench_serve_ingest(c: &mut Criterion) {
             .map(|i| PhaseRead { t: i as f64 * 1e-3, antenna: AntennaId(0), phase: 0.5 })
             .collect();
         let epcs: Vec<Epc> = (0..sessions).map(|i| Epc::from_index(i as u32 + 1)).collect();
-        c.bench_function(&format!("serve_ingest_{total}_reads_{sessions}_sessions"), |b| {
+        c.bench_function(&format!("serve_queue_{total}_reads_{sessions}_sessions"), |b| {
             b.iter(|| {
                 for &epc in &epcs {
                     black_box(client.ingest(epc, black_box(&batch)).expect("ingest"));
@@ -298,7 +298,7 @@ fn bench_serve_block_one_slow_session(c: &mut Criterion) {
     const HEALTHY: usize = 8;
     const PER_BATCH: usize = 32;
     let mut cfg = ServeConfig::new(TrackerTemplate::paper_default(region()));
-    cfg.workers = None; // drained on the bench thread, like serve_ingest
+    cfg.workers = None; // drained on the bench thread, like serve_queue
     cfg.queue_capacity = 64;
     cfg.backpressure = BackpressurePolicy::Block;
     cfg.max_sessions = HEALTHY + 1;
@@ -490,7 +490,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let grid = Grid2::new(region(), 0.01);
 
     let engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
-    engine.build_table();
+    engine.prebuild();
     c.bench_function("engine_1cm_trace_off", |b| {
         b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
     });
@@ -509,7 +509,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
             let sink: rfidraw::core::obs::SharedSink = Arc::clone(&rec) as _;
             let mut engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
             engine.set_trace_sink(Some(sink), 1);
-            engine.build_table();
+            engine.prebuild();
             c.bench_function(name, |b| {
                 b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
             });
@@ -530,7 +530,7 @@ criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
     targets = bench_vote_grid, bench_vote_reference, bench_vote_engine, bench_multires_locate,
-              bench_trace_steps, bench_baseline_locate, bench_serve_ingest, bench_serve_wire,
+              bench_trace_steps, bench_baseline_locate, bench_serve_queue, bench_serve_wire,
               bench_serve_block_one_slow_session, bench_serve_multi_reactor,
               bench_trace_overhead, bench_recognizer
 }

@@ -60,7 +60,7 @@ fn main() {
             eprintln!("--with-recorder requires --features trace; measuring without");
         }
     }
-    engine.build_table();
+    engine.prebuild();
 
     // Warm-up: page in the table and settle the clocks.
     for _ in 0..3 {

@@ -52,11 +52,11 @@
 //! slot-dropped key reports [`AdoptOutcome::Rebuild`], exactly like a
 //! re-adoption after a whole-entry eviction.
 
-use crate::engine::{QuantTable, TablePrecision, VoteEngine};
+use crate::engine::{TablePrecision, TableSlots, VoteEngine};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// A canonical fingerprint of everything a distance-difference table
 /// depends on: grid lattice, plane depth, turns factor, and the ordered
@@ -160,10 +160,7 @@ pub struct TableCacheStats {
 /// One cached geometry: a slot per precision plus bookkeeping.
 #[derive(Debug)]
 struct Entry {
-    slot_f64: Arc<OnceLock<Vec<f64>>>,
-    slot_f32: Arc<OnceLock<Vec<f32>>>,
-    slot_i16: Arc<OnceLock<QuantTable<i16>>>,
-    slot_i8: Arc<OnceLock<QuantTable<i8>>>,
+    slots: TableSlots,
     /// Bytes charged against the budget per precision, indexed in
     /// [`TablePrecision::ALL`] order (0 = no adopter has requested that
     /// width yet, so it can never be built through this entry's shared
@@ -293,10 +290,7 @@ impl TableCache {
             if rebuilds_dropped_slot {
                 e.dropped_f64 = false;
             }
-            engine.set_table_slot(Arc::clone(&e.slot_f64));
-            engine.set_table_slot_f32(Arc::clone(&e.slot_f32));
-            engine.set_table_slot_i16(Arc::clone(&e.slot_i16));
-            engine.set_table_slot_i8(Arc::clone(&e.slot_i8));
+            engine.set_table_slots(e.slots.clone());
             self.hits.fetch_add(1, Ordering::Relaxed);
             return if rebuilds_dropped_slot { AdoptOutcome::Rebuild } else { AdoptOutcome::Hit };
         }
@@ -311,10 +305,7 @@ impl TableCache {
         let mut charged = [0u64; 4];
         charged[precision.index()] = need;
         let entry = Entry {
-            slot_f64: engine.table_slot(),
-            slot_f32: engine.table_slot_f32(),
-            slot_i16: engine.table_slot_i16(),
-            slot_i8: engine.table_slot_i8(),
+            slots: engine.table_slots().clone(),
             charged,
             dropped_f64: false,
             last_touch: clock,
@@ -358,7 +349,7 @@ impl TableCache {
                     e.charged[TablePrecision::F64.index()] = 0;
                     // A fresh slot: sharers keep the old table alive
                     // through their own Arcs; the cache forgets it.
-                    e.slot_f64 = Arc::new(OnceLock::new());
+                    e.slots.reset(TablePrecision::F64);
                     e.dropped_f64 = true;
                     self.slot_drops.fetch_add(1, Ordering::Relaxed);
                 }
@@ -392,25 +383,11 @@ impl TableCache {
         let mut built = 0u64;
         let mut by_precision = [0u64; 4];
         for entry in st.slots.values() {
-            if let Some(table) = entry.slot_f64.get() {
-                built += 1;
-                by_precision[TablePrecision::F64.index()] +=
-                    (table.len() * std::mem::size_of::<f64>()) as u64;
-            }
-            if let Some(table) = entry.slot_f32.get() {
-                built += 1;
-                by_precision[TablePrecision::F32.index()] +=
-                    (table.len() * std::mem::size_of::<f32>()) as u64;
-            }
-            if let Some(table) = entry.slot_i16.get() {
-                built += 1;
-                by_precision[TablePrecision::I16.index()] +=
-                    (table.data.len() * std::mem::size_of::<i16>()) as u64;
-            }
-            if let Some(table) = entry.slot_i8.get() {
-                built += 1;
-                by_precision[TablePrecision::I8.index()] +=
-                    (table.data.len() * std::mem::size_of::<i8>()) as u64;
+            for precision in TablePrecision::ALL {
+                if let Some(bytes) = entry.slots.built_bytes(precision) {
+                    built += 1;
+                    by_precision[precision.index()] += bytes;
+                }
             }
         }
         TableCacheStats {
@@ -457,12 +434,12 @@ mod tests {
         assert_eq!(stats.built_tables, 0, "adoption must not build eagerly");
         assert_eq!(stats.evictions, 0);
         // The same physical table backs both engines.
-        assert_eq!(a.build_table().as_ptr(), b.build_table().as_ptr());
+        assert_eq!(a.table::<f64>().as_ptr(), b.table::<f64>().as_ptr());
         let stats = cache.stats();
         assert_eq!(stats.built_tables, 1);
         assert_eq!(
             stats.resident_bytes,
-            (a.build_table().len() * std::mem::size_of::<f64>()) as u64
+            (a.table::<f64>().len() * std::mem::size_of::<f64>()) as u64
         );
     }
 
@@ -490,7 +467,7 @@ mod tests {
         let mut b = engine(2.0, 0.05);
         cache.adopt(&mut a);
         cache.adopt(&mut b);
-        a.build_table();
+        a.prebuild();
         let bits = |m: &crate::grid::VoteMap| -> Vec<u64> {
             m.values().iter().map(|v| v.to_bits()).collect()
         };
@@ -505,18 +482,18 @@ mod tests {
         b.set_precision(TablePrecision::F32);
         assert_eq!(cache.adopt(&mut a), AdoptOutcome::Miss);
         assert_eq!(cache.adopt(&mut b), AdoptOutcome::Hit, "precision is not in the key");
-        a.build_table();
-        b.build_table_f32();
+        a.prebuild();
+        b.prebuild();
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.built_tables, 2, "one table per precision");
-        let f64_bytes = (a.build_table().len() * std::mem::size_of::<f64>()) as u64;
+        let f64_bytes = (a.table::<f64>().len() * std::mem::size_of::<f64>()) as u64;
         assert_eq!(stats.resident_bytes, f64_bytes + f64_bytes / 2);
         // Another f32 engine shares b's physical table.
         let mut c = engine(2.0, 0.05);
         c.set_precision(TablePrecision::F32);
         assert_eq!(cache.adopt(&mut c), AdoptOutcome::Hit);
-        assert_eq!(b.build_table_f32().as_ptr(), c.build_table_f32().as_ptr());
+        assert_eq!(b.table::<f32>().as_ptr(), c.table::<f32>().as_ptr());
     }
 
     #[test]
@@ -546,9 +523,9 @@ mod tests {
         let mut b2 = engine(3.0, 0.05);
         let mut a3 = engine(2.0, 0.05);
         outcomes.push(adopt(&mut a1)); // A in
-        a1.build_table();
+        a1.prebuild();
         outcomes.push(adopt(&mut b1)); // B in — full
-        b1.build_table();
+        b1.prebuild();
         outcomes.push(adopt(&mut a2)); // touch A
         outcomes.push(adopt(&mut c1)); // evicts B (LRU), not A
         outcomes.push(adopt(&mut b2)); // B again: Rebuild, evicts A
@@ -582,7 +559,7 @@ mod tests {
         assert_eq!(cache.adopt(&mut b), AdoptOutcome::Miss, "nothing is ever registered");
         let map_a = a.evaluate(&ms);
         let map_b = b.evaluate(&ms);
-        assert_ne!(a.build_table().as_ptr(), b.build_table().as_ptr(), "private tables");
+        assert_ne!(a.table::<f64>().as_ptr(), b.table::<f64>().as_ptr(), "private tables");
         let bits = |m: &crate::grid::VoteMap| -> Vec<u64> {
             m.values().iter().map(|v| v.to_bits()).collect()
         };
@@ -599,18 +576,18 @@ mod tests {
         let cache = TableCache::with_config(CacheConfig { max_resident_bytes: one });
         let mut a1 = engine(2.0, 0.05);
         cache.adopt(&mut a1);
-        let original: Vec<u64> = a1.build_table().iter().map(|v| v.to_bits()).collect();
+        let original: Vec<u64> = a1.table::<f64>().iter().map(|v| v.to_bits()).collect();
         let mut b = engine(3.0, 0.05);
         cache.adopt(&mut b); // evicts A
         let mut a2 = engine(2.0, 0.05);
         assert_eq!(cache.adopt(&mut a2), AdoptOutcome::Rebuild); // evicts B
-        let rebuilt: Vec<u64> = a2.build_table().iter().map(|v| v.to_bits()).collect();
+        let rebuilt: Vec<u64> = a2.table::<f64>().iter().map(|v| v.to_bits()).collect();
         assert_eq!(original, rebuilt);
-        assert_ne!(a1.build_table().as_ptr(), a2.build_table().as_ptr());
+        assert_ne!(a1.table::<f64>().as_ptr(), a2.table::<f64>().as_ptr());
         // A second sharer of the rebuilt entry is a plain hit.
         let mut a3 = engine(2.0, 0.05);
         assert_eq!(cache.adopt(&mut a3), AdoptOutcome::Hit);
-        assert_eq!(a2.build_table().as_ptr(), a3.build_table().as_ptr());
+        assert_eq!(a2.table::<f64>().as_ptr(), a3.table::<f64>().as_ptr());
     }
 
     #[test]
@@ -627,15 +604,15 @@ mod tests {
         assert_eq!(cache.adopt(&mut b16), AdoptOutcome::Hit, "precision is not in the key");
         assert_eq!(cache.adopt(&mut c16), AdoptOutcome::Hit);
         assert_eq!(cache.adopt(&mut d8), AdoptOutcome::Hit);
-        a.build_table();
+        a.prebuild();
         b16.prebuild();
         d8.prebuild();
         // b and c share one physical i16 table.
-        assert_eq!(b16.build_table_i16().data.as_ptr(), c16.build_table_i16().data.as_ptr());
+        assert_eq!(b16.table::<i16>().as_ptr(), c16.table::<i16>().as_ptr());
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.built_tables, 3);
-        let f64_bytes = (a.build_table().len() * std::mem::size_of::<f64>()) as u64;
+        let f64_bytes = (a.table::<f64>().len() * std::mem::size_of::<f64>()) as u64;
         assert_eq!(
             stats.resident_bytes_by_precision,
             [f64_bytes, 0, f64_bytes / 4, f64_bytes / 8]
@@ -657,7 +634,7 @@ mod tests {
 
         let mut a64 = engine(2.0, 0.05);
         assert_eq!(cache.adopt(&mut a64), AdoptOutcome::Miss);
-        a64.build_table();
+        a64.prebuild();
         let mut a16 = engine(2.0, 0.05);
         a16.set_precision(TablePrecision::I16);
         assert_eq!(cache.adopt(&mut a16), AdoptOutcome::Hit);
@@ -665,7 +642,7 @@ mod tests {
 
         let mut b64 = engine(3.0, 0.05);
         assert_eq!(cache.adopt(&mut b64), AdoptOutcome::Miss);
-        b64.build_table();
+        b64.prebuild();
         let stats = cache.stats();
         assert_eq!(stats.slot_drops, 1, "A's f64 slot dropped");
         assert_eq!(stats.evictions, 0, "no deployment lost entirely");
@@ -688,10 +665,10 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.slot_drops, 1);
         // Fresh slot: the rebuild produces the same bits at a new address.
-        let original: Vec<u64> = a64.build_table().iter().map(|v| v.to_bits()).collect();
-        let rebuilt: Vec<u64> = a64_again.build_table().iter().map(|v| v.to_bits()).collect();
+        let original: Vec<u64> = a64.table::<f64>().iter().map(|v| v.to_bits()).collect();
+        let rebuilt: Vec<u64> = a64_again.table::<f64>().iter().map(|v| v.to_bits()).collect();
         assert_eq!(original, rebuilt);
-        assert_ne!(a64.build_table().as_ptr(), a64_again.build_table().as_ptr());
+        assert_ne!(a64.table::<f64>().as_ptr(), a64_again.table::<f64>().as_ptr());
     }
 
     #[test]
@@ -706,8 +683,8 @@ mod tests {
         a32.set_precision(TablePrecision::F32);
         // Charging the f32 width of the same key fits without eviction.
         assert_eq!(cache.adopt(&mut a32), AdoptOutcome::Hit);
-        a.build_table();
-        a32.build_table_f32();
+        a.prebuild();
+        a32.prebuild();
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evictions, 0);

@@ -5,86 +5,94 @@
 //! for a one-shot map, but the multi-resolution positioner evaluates the
 //! *same grids* on every `locate()` call, and the distance differences
 //! depend only on (deployment, plane, grid) — not on the measurements.
-//! [`VoteEngine`] therefore precomputes, once per grid, a cell-major table
-//! of per-pair distance differences expressed in turns
-//! (`path_factor · Δd / λ`, the quantity whose grating-lobe structure Eq. 7
-//! scores), and evaluates measurement sets against that table. Repeated
-//! evaluations then cost one `frac_dist_to_integer` per (cell, measurement)
-//! instead of two 3-D distances plus the fraction.
+//! [`VoteEngine`] therefore precomputes, once per grid, a table of per-pair
+//! distance differences expressed in turns (`path_factor · Δd / λ`, the
+//! quantity whose grating-lobe structure Eq. 7 scores), and evaluates
+//! measurement sets against that table. Repeated evaluations then cost one
+//! nearest-lobe fold per (cell, measurement) instead of two 3-D distances
+//! plus the fold.
 //!
 //! The table is stored **pair-major** (column-contiguous): each pair owns a
 //! contiguous slab of `grid.len()` entries, `table[k · n_cells + c]`.
 //! Evaluation inverts the loop nest to measurement-outer / cell-inner, so
-//! each measurement streams its pair's contiguous `f64` column with no
-//! per-element indirection — a layout the compiler autovectorizes. Each
-//! cell's accumulator still receives its `-f²` terms in measurement order
-//! (one in-order subtraction per sweep), which is exactly the per-cell
+//! each measurement streams its pair's contiguous column with no
+//! per-element indirection. Each cell's accumulator still receives its
+//! `-f²` terms in measurement order, which at f64 is exactly the per-cell
 //! floating-point sequence of the reference
 //! [`crate::grid::VoteMap::evaluate`] path, so the result is
 //! **bit-identical** to the reference — and bit-identical for every thread
 //! count, since shards write disjoint cell ranges and never combine sums.
 //!
-//! Masked evaluation has two internally-identical paths: if the table is
-//! already built, the kept cells are gathered from the pair columns;
-//! otherwise distances are computed on the fly for unmasked cells only
-//! (the stage-1 filter typically keeps < 10% of the fine grid, so eagerly
-//! building the full fine table would cost more than a one-shot masked
-//! evaluation saves). Both paths compute each kept cell with the same
-//! operations, so which one runs never changes the result.
+//! ## One kernel, three drivers
+//!
+//! Every [`TablePrecision`] is the same computation with different
+//! arithmetic, so the engine writes the vote sum once. A private kernel
+//! trait, implemented once per table entry type (`f64`, `f32`, `i16`,
+//! `i8`), supplies the arithmetic: the table entry for exact turns (used
+//! by the table builder and by the on-the-fly masked path alike, so the
+//! two can never disagree), the accumulator type, the contiguous-run
+//! sweep, the scalar per-cell term, and the exact write-out to `f64`.
+//! Three generic drivers supply the loop structure:
+//!
+//! * the **cell-range** driver sweeps contiguous runs of cells in
+//!   [`CELL_TILE`]-cell accumulator tiles. A full map is one whole-grid
+//!   run sharded by [`Parallelism`]; a window is one serial run per row
+//!   (windows are small, so the saving is O(window) work, not sharding);
+//! * the **masked gather** driver compacts the kept cells once and
+//!   gathers their entries from the built table's pair columns;
+//! * the **masked on-the-fly** driver computes the kept cells' entries
+//!   from the geometry when the table is not built yet (the stage-1
+//!   filter typically keeps < 10% of the fine grid, so eagerly building
+//!   the full fine table would cost more than a one-shot masked
+//!   evaluation saves).
+//!
+//! All three run each cell's terms through the same per-cell operation
+//! sequence in measurement order, and neither tile nor shard boundaries
+//! reorder a cell's terms, so for every precision the full map, any
+//! window of it, and both masked paths agree bit-for-bit on the cells
+//! they compute, under every [`Parallelism`] setting and [`SimdMode`].
 //!
 //! ## Table precision
 //!
-//! The engine keeps two table slots, one per [`TablePrecision`]. The `f64`
-//! table is the reference: bit-identical to [`VoteMap::evaluate`], used by
-//! every accuracy-critical path. The `f32` table halves the bytes streamed
-//! per sweep (the kernel is memory-bound on the 1 cm grid) and doubles the
-//! SIMD lane count; its per-cell accumulation runs entirely in `f32`
-//! (table entry, measured turns, `-f²` terms, partial sums) and widens to
-//! `f64` only when the finished accumulator is written out — an exact
-//! conversion. The sweep is additionally *tiled* over the cell dimension
-//! ([`CELL_TILE`] cells per tile) so the accumulator tile stays in L1
-//! while the pair columns stream through. Neither tiling nor sharding
-//! changes any per-cell operation sequence, so f32 results are
-//! bit-identical across every [`Parallelism`] setting and tile boundary.
-//! The f32 path's worst-case vote error versus the f64 reference is not
-//! assumed: [`VoteEngine::f32_vote_error_bound`] *derives* it from the
-//! actual table magnitudes (see DESIGN.md §11), and the test suites assert
-//! both the bound and argmax-cell agreement.
+//! `F64` is the reference: bit-identical to [`VoteMap::evaluate`], used by
+//! every accuracy-critical path. `F32` halves the bytes streamed per sweep
+//! (the kernel is memory-bound on the 1 cm grid) and doubles the SIMD lane
+//! count; its per-cell accumulation runs entirely in `f32` (table entry,
+//! measured turns, `-f²` terms, partial sums) and widens to `f64` only at
+//! write-out — an exact conversion.
 //!
-//! ## Quantized tables
-//!
-//! Below f32 sit two fixed-point precisions. `I16` and `I8` store each
-//! entry's *fractional* turns as two's-complement fixed point at the full
-//! type width (2¹⁶ or 2⁸ quanta per turn, the per-table scale recorded in
-//! [`QuantTable::scale_bits`]): integer turns wrap away at quantization,
-//! and the kernel's wrapping subtraction `q_t − q_m` *is* the
-//! modulo-1-turn fold — no rounding, no libm, no lobe search. The
-//! difference squares and accumulates per-lane in a fixed order: `I8`
-//! in plain i32 (exact and associative), `I16` in f32 — the widened
+//! `I16` and `I8` store each entry's *fractional* turns as two's-complement
+//! fixed point at the full type width (2¹⁶ or 2⁸ quanta per turn):
+//! integer turns wrap away at quantization, and the kernel's wrapping
+//! subtraction `q_t − q_m` *is* the modulo-1-turn fold — no rounding, no
+//! libm, no lobe search. The full width is the unique scale at which the
+//! wrap performs the fold (any narrower scale would alias lobes), so the
+//! scale is the entry type's bit width rather than a tunable. The
+//! difference squares and accumulates per-lane in a fixed order: `I8` in
+//! plain i32 (exact and associative), `I16` in f32 — the widened
 //! difference fits 16 bits, so `d as f32` is exact, and squaring an
-//! i16-range value into an f32 accumulator costs one bounded rounding
-//! per term instead of the i64 widening chain whose extra ops and
-//! 8-byte accumulator traffic erased the bandwidth win over f32. Both
-//! run identical per-cell instruction sequences in scalar and SIMD
-//! form, so quantized maps are bit-identical across every
-//! [`Parallelism`] setting, tile boundary, and SIMD width. The finished
-//! accumulator widens to f64 and scales by the exact power of two
-//! `2⁻²ᴮ` at write-out. What quantization costs is a *derived*,
-//! per-measurement-set vote-error bound
-//! ([`VoteEngine::vote_error_bound`]): one quantum (`2⁻ᴮ` turns) per
-//! measurement, plus (for I16) the f32 accumulation series, plus the
-//! f64 reference path's own rounding, with the same argmax-identity
-//! theorem as f32 — the argmax cell provably matches the f64 reference
-//! whenever the f64 best/runner-up gap exceeds twice the bound.
+//! i16-range value into an f32 accumulator costs one bounded rounding per
+//! term instead of the i64 widening chain whose extra ops and 8-byte
+//! accumulator traffic erased the bandwidth win over f32. The finished
+//! accumulator widens to f64 and scales by the exact power of two `2⁻²ᴮ`
+//! at write-out.
 //!
-//! The inner sweeps of the f32 and quantized kernels run through
+//! Measured turns are rounded exactly as table entries are (the kernel
+//! subtracts one from the other, so they share a representation). What a
+//! reduced precision costs is a *derived*, per-measurement-set vote-error
+//! bound ([`VoteEngine::vote_error_bound`], DESIGN.md §11 and §15), with an
+//! argmax-identity theorem: the argmax cell provably matches the f64
+//! reference whenever the f64 best/runner-up gap exceeds twice the bound.
+//!
+//! The contiguous-run sweeps of the f32 and quantized kernels run through
 //! [`rfidraw_simd`]: explicit AVX2/SSE4.1 kernels selected at runtime,
 //! each bit-identical to its scalar form (see that crate's docs for the
-//! argument), so the wide path no longer depends on the autovectorizer's
+//! argument), so the wide path does not depend on the autovectorizer's
 //! mood on the baseline target. [`VoteEngine::set_simd_mode`] can pin the
 //! scalar kernel; results never change, only wall-clock.
 //!
-//! The table slots are `Arc`s so engines over the same
+//! The engine holds one lazily built table slot per precision in a
+//! [`TableSlots`]; the slots are `Arc`s so engines over the same
 //! (deployment, plane, grid) can share physical tables — see
 //! [`crate::cache::TableCache`].
 
@@ -103,31 +111,47 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// Cells per accumulator tile in the f32 sweep: 4096 × 4 B = 16 KiB of
-/// accumulators, comfortably inside L1 alongside the streamed column
-/// slices. Tiling never changes a result — each cell's terms still arrive
-/// in measurement order — so the value is pure tuning.
+/// Cells per accumulator tile: 4096 × 4 B = 16 KiB of f32/i32
+/// accumulators (32 KiB at f64), comfortably inside L1 alongside the
+/// streamed column slices. Tiling never changes a result — each cell's
+/// terms still arrive in measurement order — so the value is pure tuning.
 const CELL_TILE: usize = 4096;
 
-/// Cells per accumulator tile in the i16 sweep: f32 accumulators, same
-/// 16 KiB L1 footprint as the f32 tile. Tiling never reorders a cell's
-/// terms, so the value is pure tuning.
-const CELL_TILE_I16: usize = 4096;
-
-/// Cells per accumulator tile in the i8 sweep: i32 accumulators, so the
-/// f32 tile count keeps the 16 KiB footprint.
-const CELL_TILE_I8: usize = 4096;
+/// Runs `$body` with the type alias `$k` bound to the kernel (table entry
+/// type) of precision `$p` — the one place a [`TablePrecision`] turns into
+/// a type.
+macro_rules! with_kernel {
+    ($p:expr, $k:ident => $body:expr) => {
+        match $p {
+            TablePrecision::F64 => {
+                type $k = f64;
+                $body
+            }
+            TablePrecision::F32 => {
+                type $k = f32;
+                $body
+            }
+            TablePrecision::I16 => {
+                type $k = i16;
+                $body
+            }
+            TablePrecision::I8 => {
+                type $k = i8;
+                $body
+            }
+        }
+    };
+}
 
 /// Which numeric representation backs an engine's distance-difference
 /// table.
 ///
 /// `F64` is the bit-exact reference; `F32` halves table bytes and memory
-/// bandwidth with a rigorously bounded vote error (see
-/// [`VoteEngine::f32_vote_error_bound`]); `I16` and `I8` quantize the
-/// fractional turns to fixed point for 4× / 8× compression over f64, with
-/// their own derived bound ([`VoteEngine::vote_error_bound`]) and exact
-/// integer accumulation (see the module docs). The precision is part of
-/// the engine configuration, not the cache key: a
+/// bandwidth; `I16` and `I8` quantize the fractional turns to fixed point
+/// for 4× / 8× compression over f64 with exact integer arithmetic up to
+/// the accumulator (see the module docs). Every reduced precision has a
+/// derived vote-error bound ([`VoteEngine::vote_error_bound`]). The
+/// precision is part of the engine configuration, not the cache key: a
 /// [`crate::cache::TableCache`] entry carries one slot per precision, so
 /// mixed fleets share geometry without duplicating keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -160,12 +184,7 @@ impl TablePrecision {
 
     /// Bytes per table entry at this precision.
     pub fn entry_bytes(self) -> u64 {
-        match self {
-            TablePrecision::F64 => std::mem::size_of::<f64>() as u64,
-            TablePrecision::F32 => std::mem::size_of::<f32>() as u64,
-            TablePrecision::I16 => std::mem::size_of::<i16>() as u64,
-            TablePrecision::I8 => std::mem::size_of::<i8>() as u64,
-        }
+        with_kernel!(self, K => std::mem::size_of::<K>() as u64)
     }
 
     /// The lower-case label telemetry uses for this precision (the
@@ -182,31 +201,250 @@ impl TablePrecision {
     /// Dense index into per-precision arrays (cache slots, byte
     /// breakdowns), in [`TablePrecision::ALL`] order.
     pub(crate) fn index(self) -> usize {
-        match self {
-            TablePrecision::F64 => 0,
-            TablePrecision::F32 => 1,
-            TablePrecision::I16 => 2,
-            TablePrecision::I8 => 3,
+        self as usize
+    }
+}
+
+/// One lazily built, shareable table.
+type Slot<T> = Arc<OnceLock<Vec<T>>>;
+
+/// One table slot per [`TablePrecision`]: what a [`VoteEngine`] builds
+/// into and what a [`crate::cache::TableCache`] entry shares. Cloning
+/// shares the slots (it clones the `Arc`s); a default value is four
+/// fresh private slots.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TableSlots {
+    f64: Slot<f64>,
+    f32: Slot<f32>,
+    i16: Slot<i16>,
+    i8: Slot<i8>,
+}
+
+impl TableSlots {
+    /// The bytes of `precision`'s table if it has been built.
+    pub(crate) fn built_bytes(&self, precision: TablePrecision) -> Option<u64> {
+        with_kernel!(precision, K => K::slot(self)
+            .get()
+            .map(|table| (table.len() * std::mem::size_of::<K>()) as u64))
+    }
+
+    /// Replaces `precision`'s slot with a fresh one. Holders of the old
+    /// slot keep its table alive through their own `Arc`s.
+    pub(crate) fn reset(&mut self, precision: TablePrecision) {
+        match precision {
+            TablePrecision::F64 => self.f64 = Slot::default(),
+            TablePrecision::F32 => self.f32 = Slot::default(),
+            TablePrecision::I16 => self.i16 = Slot::default(),
+            TablePrecision::I8 => self.i8 = Slot::default(),
         }
     }
 }
 
-/// A built fixed-point table: the pair-major quantized entries plus the
-/// scale the builder chose for them.
-///
-/// The scale is *per table*, recorded at build time: the kernels read it
-/// back for the exact `2⁻²ᴮ` write-out factor rather than hard-coding a
-/// width. The builder always picks the full type width (16 or 8 bits per
-/// turn) because that is the unique scale at which two's-complement
-/// wrap-around performs the modulo-1-turn fold for free — any narrower
-/// scale would alias lobes — so the field documents and enforces the
-/// choice rather than searching over it.
-#[derive(Debug)]
-pub(crate) struct QuantTable<T> {
-    /// Quanta per turn, as a power of two: `2^scale_bits`.
-    pub(crate) scale_bits: u32,
-    /// Pair-major quantized entries, `data[k · n_cells + c]`.
-    pub(crate) data: Vec<T>,
+/// The arithmetic of one table precision, implemented on its table entry
+/// type. Crate-private, so sealed: the four impls below are all there
+/// are, and the engine's drivers are the only callers.
+pub(crate) trait Kernel: Copy + Default + Send + Sync + 'static {
+    /// The per-cell accumulator.
+    type Acc: Copy + Default + Send + Sync;
+
+    /// Measurement sets larger than this would leave the accumulator's
+    /// exactness envelope (see the derived bounds); evaluation asserts it.
+    const MAX_MEASUREMENTS: usize = usize::MAX;
+
+    /// This precision's slot.
+    fn slot(slots: &TableSlots) -> &Slot<Self>;
+
+    /// The table entry for exact turns `turns`. Also rounds measured turns
+    /// and builds entries on the fly for the masked path, so a table entry
+    /// and its on-the-fly twin are always the same bits.
+    fn entry(turns: f64) -> Self;
+
+    /// One cell's term: folds `entry − measured` to the nearest lobe and
+    /// subtracts its square from `acc` (adds, for the i8 integer sum).
+    fn term(acc: &mut Self::Acc, entry: Self, measured: Self);
+
+    /// One measurement's terms over a contiguous run of cells. The default
+    /// is the plain loop over [`Kernel::term`]; the reduced precisions
+    /// dispatch to their bit-identical [`rfidraw_simd`] sweeps.
+    fn sweep(acc: &mut [Self::Acc], column: &[Self], measured: Self, _simd: SimdMode) {
+        for (a, &entry) in acc.iter_mut().zip(column) {
+            Self::term(a, entry, measured);
+        }
+    }
+
+    /// Every measurement's terms over the run of `acc.len()` cells that
+    /// starts at cell `first`, in measurement order.
+    fn sweep_all(
+        acc: &mut [Self::Acc],
+        table: &[Self],
+        n_cells: usize,
+        first: usize,
+        cols: &[(usize, Self)],
+        simd: SimdMode,
+    ) {
+        for &(col, measured) in cols {
+            Self::sweep(acc, run(table, n_cells, col, first, acc.len()), measured, simd);
+        }
+    }
+
+    /// The finished accumulator as a vote, exactly.
+    fn vote(acc: Self::Acc) -> f64;
+}
+
+/// The `len` entries of pair column `col` starting at cell `first`.
+fn run<T>(table: &[T], n_cells: usize, col: usize, first: usize, len: usize) -> &[T] {
+    let start = col * n_cells + first;
+    &table[start..start + len]
+}
+
+/// The exact write-out factor of a `bits`-wide fixed-point sum: `2⁻²ᴮ`,
+/// mapping an integer sum of squared quanta back to squared turns. A power
+/// of two, so the f64 multiply at write-out is exact.
+fn quantum_sq(bits: u32) -> f64 {
+    let per_turn = (1u64 << bits) as f64;
+    (per_turn * per_turn).recip()
+}
+
+/// The reference arithmetic: exact turns, `frac_dist_to_integer`, f64
+/// accumulation — the per-cell sequence of [`VoteMap::evaluate`].
+impl Kernel for f64 {
+    type Acc = f64;
+
+    fn slot(slots: &TableSlots) -> &Slot<Self> {
+        &slots.f64
+    }
+
+    fn entry(turns: f64) -> Self {
+        turns
+    }
+
+    #[inline]
+    fn term(acc: &mut f64, entry: f64, measured: f64) {
+        let f = frac_dist_to_integer(entry - measured);
+        *acc -= f * f;
+    }
+
+    fn vote(acc: f64) -> f64 {
+        acc
+    }
+}
+
+/// Single precision: each entry the correctly-rounded `f32` of the f64
+/// entry (`as f32` rounds to nearest, ties to even), accumulation in f32,
+/// an exact widening at write-out.
+impl Kernel for f32 {
+    type Acc = f32;
+
+    fn slot(slots: &TableSlots) -> &Slot<Self> {
+        &slots.f32
+    }
+
+    fn entry(turns: f64) -> Self {
+        turns as f32
+    }
+
+    #[inline]
+    fn term(acc: &mut f32, entry: f32, measured: f32) {
+        let f = frac_dist_to_integer_f32(entry - measured);
+        *acc -= f * f;
+    }
+
+    fn sweep(acc: &mut [f32], column: &[f32], measured: f32, simd: SimdMode) {
+        rfidraw_simd::sweep_f32(acc, column, measured, simd);
+    }
+
+    fn vote(acc: f32) -> f64 {
+        f64::from(acc)
+    }
+}
+
+/// 16-bit fixed point: a wrapping subtract (the free mod-1-turn fold), an
+/// exact widening to f32 (|d| ≤ 2¹⁵ < 2²⁴), and one fused `a − d·d` per
+/// term — the sweep's only rounding.
+impl Kernel for i16 {
+    type Acc = f32;
+
+    /// The error bound's accumulation series is quadratic in `n`, so 2²²
+    /// is a generous sanity ceiling, not a tight limit.
+    const MAX_MEASUREMENTS: usize = (1 << 22) - 1;
+
+    fn slot(slots: &TableSlots) -> &Slot<Self> {
+        &slots.i16
+    }
+
+    fn entry(turns: f64) -> Self {
+        quantize_turns_i16(turns)
+    }
+
+    #[inline]
+    fn term(acc: &mut f32, entry: i16, measured: i16) {
+        let d = i32::from(entry.wrapping_sub(measured)) as f32;
+        *acc = (-d).mul_add(d, *acc);
+    }
+
+    fn sweep(acc: &mut [f32], column: &[i16], measured: i16, simd: SimdMode) {
+        rfidraw_simd::sweep_i16(acc, column, measured, simd);
+    }
+
+    /// Feeds measurements through [`rfidraw_simd::sweep_i16_dual`] in
+    /// pairs (one accumulator pass per two columns), which is
+    /// bit-identical to single sweeps by construction.
+    fn sweep_all(
+        acc: &mut [f32],
+        table: &[i16],
+        n_cells: usize,
+        first: usize,
+        cols: &[(usize, i16)],
+        simd: SimdMode,
+    ) {
+        let len = acc.len();
+        let mut pairs = cols.chunks_exact(2);
+        for pair in &mut pairs {
+            let ((col_a, q_a), (col_b, q_b)) = (pair[0], pair[1]);
+            let a = run(table, n_cells, col_a, first, len);
+            let b = run(table, n_cells, col_b, first, len);
+            rfidraw_simd::sweep_i16_dual(acc, a, q_a, b, q_b, simd);
+        }
+        for &(col, q_m) in pairs.remainder() {
+            Self::sweep(acc, run(table, n_cells, col, first, len), q_m, simd);
+        }
+    }
+
+    fn vote(acc: f32) -> f64 {
+        f64::from(acc) * quantum_sq(i16::BITS)
+    }
+}
+
+/// 8-bit fixed point: the i16 structure with exact i32 accumulation
+/// (terms ≤ 2¹⁴), negated at write-out.
+impl Kernel for i8 {
+    type Acc = i32;
+
+    /// Terms are at most 2¹⁴, so ≤ 2¹⁶ measurements keep every sum below
+    /// 2³⁰.
+    const MAX_MEASUREMENTS: usize = 1 << 16;
+
+    fn slot(slots: &TableSlots) -> &Slot<Self> {
+        &slots.i8
+    }
+
+    fn entry(turns: f64) -> Self {
+        quantize_turns_i8(turns)
+    }
+
+    #[inline]
+    fn term(acc: &mut i32, entry: i8, measured: i8) {
+        let d = i32::from(entry.wrapping_sub(measured));
+        *acc += d * d;
+    }
+
+    fn sweep(acc: &mut [i32], column: &[i8], measured: i8, simd: SimdMode) {
+        rfidraw_simd::sweep_i8(acc, column, measured, simd);
+    }
+
+    fn vote(acc: i32) -> f64 {
+        -f64::from(acc) * quantum_sq(i8::BITS)
+    }
 }
 
 /// A reusable vote-map evaluator for one (deployment, plane, grid) triple.
@@ -224,23 +462,13 @@ pub struct VoteEngine {
     /// `path_factor / λ`: distance difference (m) → turns.
     turns_factor: f64,
     parallelism: Parallelism,
-    /// Pair-major distance-difference table in turns:
-    /// `table[k * grid.len() + c] = turns_factor · (|P_c − pos_i_k| − |P_c − pos_j_k|)`.
-    /// Built on first use (see module docs for when that pays off). Behind
-    /// an `Arc` so a [`crate::cache::TableCache`] can make engines over the
-    /// same (deployment, plane, grid) share one physical table; a fresh
-    /// engine always starts with a private slot.
-    table: Arc<OnceLock<Vec<f64>>>,
-    /// The single-precision sibling of `table`: same pair-major layout,
-    /// each entry the correctly-rounded `f32` of the f64 entry. Built
-    /// independently (an F32-only engine never materializes the f64
-    /// table).
-    table_f32: Arc<OnceLock<Vec<f32>>>,
-    /// The 16-bit fixed-point sibling: fractional turns at 2¹⁶ quanta per
-    /// turn, integer turns wrapped away (see [`QuantTable`]).
-    table_i16: Arc<OnceLock<QuantTable<i16>>>,
-    /// The 8-bit fixed-point sibling (2⁸ quanta per turn).
-    table_i8: Arc<OnceLock<QuantTable<i8>>>,
+    /// The pair-major tables, one lazily built slot per precision:
+    /// `table[k * grid.len() + c]` is the entry for
+    /// `turns_factor · (|P_c − pos_i_k| − |P_c − pos_j_k|)`. A fresh engine
+    /// starts with private slots; a [`crate::cache::TableCache`] may swap
+    /// in shared ones. Only the active precision's slot is ever built
+    /// through this engine.
+    slots: TableSlots,
     /// Which table `evaluate*` uses. `F64` unless configured otherwise.
     precision: TablePrecision,
     /// Which accumulation kernels the f32/quantized sweeps may use.
@@ -288,10 +516,7 @@ impl VoteEngine {
             geom,
             turns_factor,
             parallelism,
-            table: Arc::new(OnceLock::new()),
-            table_f32: Arc::new(OnceLock::new()),
-            table_i16: Arc::new(OnceLock::new()),
-            table_i8: Arc::new(OnceLock::new()),
+            slots: TableSlots::default(),
             precision: TablePrecision::default(),
             simd: SimdMode::Auto,
             #[cfg(feature = "trace")]
@@ -348,10 +573,7 @@ impl VoteEngine {
     pub fn set_precision(&mut self, precision: TablePrecision) {
         if precision != self.precision {
             self.precision = precision;
-            self.table = Arc::new(OnceLock::new());
-            self.table_f32 = Arc::new(OnceLock::new());
-            self.table_i16 = Arc::new(OnceLock::new());
-            self.table_i8 = Arc::new(OnceLock::new());
+            self.slots = TableSlots::default();
         }
     }
 
@@ -388,12 +610,7 @@ impl VoteEngine {
     /// Whether the active-precision distance-difference table has been
     /// built yet.
     pub fn is_table_built(&self) -> bool {
-        match self.precision {
-            TablePrecision::F64 => self.table.get().is_some(),
-            TablePrecision::F32 => self.table_f32.get().is_some(),
-            TablePrecision::I16 => self.table_i16.get().is_some(),
-            TablePrecision::I8 => self.table_i8.get().is_some(),
-        }
+        self.slots.built_bytes(self.precision).is_some()
     }
 
     /// Builds (once) the active-precision table without evaluating
@@ -401,68 +618,24 @@ impl VoteEngine {
     /// evaluation can be measured (or served) separately from the one-time
     /// precomputation.
     pub fn prebuild(&self) {
-        match self.precision {
-            TablePrecision::F64 => {
-                self.build_table();
-            }
-            TablePrecision::F32 => {
-                self.build_table_f32();
-            }
-            TablePrecision::I16 => {
-                self.build_table_i16();
-            }
-            TablePrecision::I8 => {
-                self.build_table_i8();
-            }
-        }
+        with_kernel!(self.precision, K => {
+            self.table::<K>();
+        })
     }
 
-    /// The engine's f64 table slot, for sharing through a
-    /// [`crate::cache::TableCache`]. Cloning the `Arc` is cheap; the table
-    /// itself is built at most once per slot.
-    pub(crate) fn table_slot(&self) -> Arc<OnceLock<Vec<f64>>> {
-        Arc::clone(&self.table)
+    /// The engine's table slots, for sharing through a
+    /// [`crate::cache::TableCache`]. Cloning shares; each table is built
+    /// at most once per slot.
+    pub(crate) fn table_slots(&self) -> &TableSlots {
+        &self.slots
     }
 
-    /// The engine's f32 table slot (see [`VoteEngine::table_slot`]).
-    pub(crate) fn table_slot_f32(&self) -> Arc<OnceLock<Vec<f32>>> {
-        Arc::clone(&self.table_f32)
-    }
-
-    /// Replaces the engine's f64 table slot with a shared one. Only the
-    /// cache calls this, and only with a slot for the identical
-    /// (deployment, plane, grid, pairs) fingerprint, so the table contents
-    /// are the same bits either way — sharing never changes a result.
-    pub(crate) fn set_table_slot(&mut self, slot: Arc<OnceLock<Vec<f64>>>) {
-        self.table = slot;
-    }
-
-    /// Replaces the engine's f32 table slot with a shared one (see
-    /// [`VoteEngine::set_table_slot`]).
-    pub(crate) fn set_table_slot_f32(&mut self, slot: Arc<OnceLock<Vec<f32>>>) {
-        self.table_f32 = slot;
-    }
-
-    /// The engine's i16 table slot (see [`VoteEngine::table_slot`]).
-    pub(crate) fn table_slot_i16(&self) -> Arc<OnceLock<QuantTable<i16>>> {
-        Arc::clone(&self.table_i16)
-    }
-
-    /// The engine's i8 table slot (see [`VoteEngine::table_slot`]).
-    pub(crate) fn table_slot_i8(&self) -> Arc<OnceLock<QuantTable<i8>>> {
-        Arc::clone(&self.table_i8)
-    }
-
-    /// Replaces the engine's i16 table slot with a shared one (see
-    /// [`VoteEngine::set_table_slot`]).
-    pub(crate) fn set_table_slot_i16(&mut self, slot: Arc<OnceLock<QuantTable<i16>>>) {
-        self.table_i16 = slot;
-    }
-
-    /// Replaces the engine's i8 table slot with a shared one (see
-    /// [`VoteEngine::set_table_slot`]).
-    pub(crate) fn set_table_slot_i8(&mut self, slot: Arc<OnceLock<QuantTable<i8>>>) {
-        self.table_i8 = slot;
+    /// Replaces the engine's table slots with shared ones. Only the cache
+    /// calls this, and only with slots for the identical (deployment,
+    /// plane, grid, pairs) fingerprint, so the table contents are the same
+    /// bits either way — sharing never changes a result.
+    pub(crate) fn set_table_slots(&mut self, slots: TableSlots) {
+        self.slots = slots;
     }
 
     /// A canonical fingerprint of everything the table depends on: the
@@ -485,23 +658,32 @@ impl VoteEngine {
         self.turns_factor
     }
 
-    /// Builds (once) and returns the pair-major distance-difference table.
-    /// Called implicitly by [`VoteEngine::evaluate`]; benches call it
-    /// explicitly to measure steady-state evaluation separately from the
-    /// one-time precomputation.
-    pub fn build_table(&self) -> &[f64] {
-        self.table.get_or_init(|| {
+    /// Cell `c` lifted onto the plane.
+    fn cell(&self, c: usize) -> Point3 {
+        let (ix, iz) = self.grid.unflat(c);
+        self.plane.lift(self.grid.point(ix, iz))
+    }
+
+    /// The exact turns at point `p3` of the pair with antennas at `pi` and
+    /// `pj`: the value every precision's table entry rounds.
+    fn turns(&self, p3: Point3, (pi, pj): (Point3, Point3)) -> f64 {
+        self.turns_factor * (p3.dist(pi) - p3.dist(pj))
+    }
+
+    /// Builds (once) and returns precision `K`'s pair-major table. Only
+    /// `K`'s own table is materialized, so a fleet running one precision
+    /// pays only that table's bytes.
+    pub(crate) fn table<K: Kernel>(&self) -> &[K] {
+        K::slot(&self.slots).get_or_init(|| {
             #[cfg(feature = "trace")]
             let _span =
                 obs::SpanTimer::start(self.sink.as_ref(), self.session, Stage::EngineTable, 0.0);
             let n_cells = self.grid.len();
-            let mut table = vec![0.0; n_cells * self.pairs.len()];
-            for (column, &(pi, pj)) in table.chunks_mut(n_cells).zip(&self.geom) {
+            let mut table = vec![K::default(); n_cells * self.pairs.len()];
+            for (column, &pair) in table.chunks_mut(n_cells).zip(&self.geom) {
                 self.parallelism.run_row_sharded(column, 1, |first, shard| {
                     for (i, slot) in shard.iter_mut().enumerate() {
-                        let (ix, iz) = self.grid.unflat(first + i);
-                        let p3 = self.plane.lift(self.grid.point(ix, iz));
-                        *slot = self.turns_factor * (p3.dist(pi) - p3.dist(pj));
+                        *slot = K::entry(self.turns(self.cell(first + i), pair));
                     }
                 });
             }
@@ -509,354 +691,47 @@ impl VoteEngine {
         })
     }
 
-    /// Builds (once) and returns the single-precision table. Each entry is
-    /// the correctly-rounded `f32` of the f64 entry the reference table
-    /// would hold at the same index (the `as f32` cast rounds to nearest,
-    /// ties to even); the f64 table itself is never materialized here, so
-    /// an F32-only fleet pays only the half-size table.
-    pub fn build_table_f32(&self) -> &[f32] {
-        self.table_f32.get_or_init(|| {
-            #[cfg(feature = "trace")]
-            let _span =
-                obs::SpanTimer::start(self.sink.as_ref(), self.session, Stage::EngineTable, 0.0);
-            let n_cells = self.grid.len();
-            let mut table = vec![0.0f32; n_cells * self.pairs.len()];
-            for (column, &(pi, pj)) in table.chunks_mut(n_cells).zip(&self.geom) {
-                self.parallelism.run_row_sharded(column, 1, |first, shard| {
-                    for (i, slot) in shard.iter_mut().enumerate() {
-                        let (ix, iz) = self.grid.unflat(first + i);
-                        let p3 = self.plane.lift(self.grid.point(ix, iz));
-                        *slot = (self.turns_factor * (p3.dist(pi) - p3.dist(pj))) as f32;
-                    }
-                });
-            }
-            table
-        })
-    }
-
-    /// Builds (once) and returns the 16-bit fixed-point table. Each entry
-    /// quantizes the exact turns to 2¹⁶ quanta per turn with integer turns
-    /// wrapped away ([`quantize_turns_i16`]); neither float table is
-    /// materialized, so an I16-only fleet pays only the quarter-size
-    /// table. The scale is recorded in the returned [`QuantTable`].
-    pub(crate) fn build_table_i16(&self) -> &QuantTable<i16> {
-        self.table_i16.get_or_init(|| {
-            #[cfg(feature = "trace")]
-            let _span =
-                obs::SpanTimer::start(self.sink.as_ref(), self.session, Stage::EngineTable, 0.0);
-            let n_cells = self.grid.len();
-            let mut data = vec![0i16; n_cells * self.pairs.len()];
-            for (column, &(pi, pj)) in data.chunks_mut(n_cells).zip(&self.geom) {
-                self.parallelism.run_row_sharded(column, 1, |first, shard| {
-                    for (i, slot) in shard.iter_mut().enumerate() {
-                        let (ix, iz) = self.grid.unflat(first + i);
-                        let p3 = self.plane.lift(self.grid.point(ix, iz));
-                        *slot = quantize_turns_i16(self.turns_factor * (p3.dist(pi) - p3.dist(pj)));
-                    }
-                });
-            }
-            QuantTable { scale_bits: i16::BITS, data }
-        })
-    }
-
-    /// Builds (once) and returns the 8-bit fixed-point table (2⁸ quanta
-    /// per turn; see [`VoteEngine::build_table_i16`]).
-    pub(crate) fn build_table_i8(&self) -> &QuantTable<i8> {
-        self.table_i8.get_or_init(|| {
-            #[cfg(feature = "trace")]
-            let _span =
-                obs::SpanTimer::start(self.sink.as_ref(), self.session, Stage::EngineTable, 0.0);
-            let n_cells = self.grid.len();
-            let mut data = vec![0i8; n_cells * self.pairs.len()];
-            for (column, &(pi, pj)) in data.chunks_mut(n_cells).zip(&self.geom) {
-                self.parallelism.run_row_sharded(column, 1, |first, shard| {
-                    for (i, slot) in shard.iter_mut().enumerate() {
-                        let (ix, iz) = self.grid.unflat(first + i);
-                        let p3 = self.plane.lift(self.grid.point(ix, iz));
-                        *slot = quantize_turns_i8(self.turns_factor * (p3.dist(pi) - p3.dist(pj)));
-                    }
-                });
-            }
-            QuantTable { scale_bits: i8::BITS, data }
-        })
-    }
-
-    /// Maps each measurement to its table column and its measured turns,
-    /// through the pair→column index built at construction.
+    /// Maps each measurement to its table column and its measured turns
+    /// in `K`'s representation, through the pair→column index built at
+    /// construction.
     ///
     /// # Panics
-    /// Panics if a measurement's pair is not in this engine's pair set.
-    fn columns(&self, measurements: &[PairMeasurement]) -> Vec<(usize, f64)> {
+    /// Panics if a measurement's pair is not in this engine's pair set, or
+    /// if there are more measurements than `K`'s accumulation envelope.
+    fn columns<K: Kernel>(&self, measurements: &[PairMeasurement]) -> Vec<(usize, K)> {
+        assert!(
+            measurements.len() <= K::MAX_MEASUREMENTS,
+            "accumulation envelope: at most {} measurements per evaluation at this precision",
+            K::MAX_MEASUREMENTS
+        );
         measurements
             .iter()
             .map(|m| {
                 let col = *self.col_of.get(&m.pair).unwrap_or_else(|| {
                     panic!("measurement pair {:?} is not in this engine's pair set", m.pair)
                 });
-                (col, m.turns())
+                (col, K::entry(m.turns()))
             })
             .collect()
     }
 
-    /// [`VoteEngine::columns`] with the measured turns pre-rounded to
-    /// `f32`, so the hot sweep never converts inside the loop.
-    fn columns_f32(&self, measurements: &[PairMeasurement]) -> Vec<(usize, f32)> {
-        self.columns(measurements)
-            .into_iter()
-            .map(|(col, measured)| (col, measured as f32))
-            .collect()
-    }
-
-    /// [`VoteEngine::columns`] with the measured turns quantized to the
-    /// i16 table's fixed point, so the sweep is a pure wrapping subtract.
-    /// Also asserts the measurement count stays inside the derivation's
-    /// envelope: the error bound's accumulation series is quadratic in
-    /// `n`, so 2²² is a generous sanity ceiling, not a tight limit.
-    fn columns_i16(&self, measurements: &[PairMeasurement]) -> Vec<(usize, i16)> {
-        assert!(
-            measurements.len() < 1 << 22,
-            "i16 accumulation envelope: at most 2^22 measurements per evaluation"
-        );
-        self.columns(measurements)
-            .into_iter()
-            .map(|(col, measured)| (col, quantize_turns_i16(measured)))
-            .collect()
-    }
-
-    /// The i8 sibling of [`VoteEngine::columns_i16`]. The i32 accumulators
-    /// carry terms ≤ 2¹⁴, so ≤ 2¹⁶ measurements keep every sum below 2³⁰.
-    fn columns_i8(&self, measurements: &[PairMeasurement]) -> Vec<(usize, i8)> {
-        assert!(
-            measurements.len() <= 1 << 16,
-            "i8 accumulation envelope: at most 2^16 measurements per evaluation"
-        );
-        self.columns(measurements)
-            .into_iter()
-            .map(|(col, measured)| (col, quantize_turns_i8(measured)))
-            .collect()
-    }
-
-    /// The exact write-out factor of a quantized sweep: `2⁻²ᴮ`, mapping an
-    /// integer sum of squared quanta back to squared turns. A power of
-    /// two, so the f64 multiply at write-out is exact.
-    fn quant_writeout_scale(scale_bits: u32) -> f64 {
-        let per_turn = (1u64 << scale_bits) as f64;
-        (per_turn * per_turn).recip()
-    }
-
     /// Evaluates the total nearest-lobe vote of `measurements` on every
     /// lattice point. At [`TablePrecision::F64`] (the default) the result
-    /// is bit-identical to [`VoteMap::evaluate`] on the same inputs; at
-    /// [`TablePrecision::F32`] every vote is within
-    /// [`VoteEngine::f32_vote_error_bound`] of the f64 reference. Either
-    /// way the result is bit-identical across every [`Parallelism`]
-    /// setting.
+    /// is bit-identical to [`VoteMap::evaluate`] on the same inputs; at a
+    /// reduced precision every vote is within
+    /// [`VoteEngine::vote_error_bound`] of the f64 reference. Either way
+    /// the result is bit-identical across every [`Parallelism`] setting
+    /// and [`SimdMode`].
     pub fn evaluate(&self, measurements: &[PairMeasurement]) -> VoteMap {
-        match self.precision {
-            TablePrecision::F64 => self.evaluate_f64(measurements),
-            TablePrecision::F32 => self.evaluate_f32(measurements),
-            TablePrecision::I16 => self.evaluate_i16(measurements),
-            TablePrecision::I8 => self.evaluate_i8(measurements),
-        }
-    }
-
-    fn evaluate_f64(&self, measurements: &[PairMeasurement]) -> VoteMap {
-        let cols = self.columns(measurements);
-        let table = self.build_table();
-        let n_cells = self.grid.len();
-        let mut values = vec![0.0; n_cells];
-        #[cfg(feature = "trace")]
-        let _span = obs::SpanTimer::start(
-            self.sink.as_ref(),
-            self.session,
-            Stage::EngineEvaluate,
-            measurements.len() as f64,
-        );
-        self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
-            #[cfg(feature = "trace")]
-            let _shard_span = obs::SpanTimer::start(
-                self.sink.as_ref(),
-                self.session,
-                Stage::EngineShard,
-                first as f64,
-            );
-            // Measurement-outer: each sweep streams one contiguous slice of
-            // one pair column. Per cell the sweeps subtract `-f²` terms in
-            // measurement order, matching the reference path's per-cell
-            // accumulation exactly.
-            for &(col, measured) in &cols {
-                let column = &table[col * n_cells + first..col * n_cells + first + shard.len()];
-                for (v, &turns) in shard.iter_mut().zip(column) {
-                    let f = frac_dist_to_integer(turns - measured);
-                    *v -= f * f;
-                }
-            }
-        });
-        VoteMap::from_values(self.grid.clone(), values)
-    }
-
-    /// The single-precision sweep: same measurement-outer / cell-inner
-    /// loop nest over the f32 table, tiled over the cell dimension so the
-    /// f32 accumulator tile ([`CELL_TILE`] cells) stays L1-resident while
-    /// the pair columns stream. Accumulation is pure f32; each finished
-    /// accumulator widens exactly to f64 on write-out. Per cell the `-f²`
-    /// terms arrive in measurement order regardless of tile or shard
-    /// boundaries, so the map is bit-identical for every [`Parallelism`]
-    /// setting.
-    fn evaluate_f32(&self, measurements: &[PairMeasurement]) -> VoteMap {
-        let cols = self.columns_f32(measurements);
-        let table = self.build_table_f32();
-        let n_cells = self.grid.len();
-        let mut values = vec![0.0f64; n_cells];
-        let simd = self.simd;
-        #[cfg(feature = "trace")]
-        let _span = obs::SpanTimer::start(
-            self.sink.as_ref(),
-            self.session,
-            Stage::EngineEvaluate,
-            measurements.len() as f64,
-        );
-        self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
-            #[cfg(feature = "trace")]
-            let _shard_span = obs::SpanTimer::start(
-                self.sink.as_ref(),
-                self.session,
-                Stage::EngineShard,
-                first as f64,
-            );
-            let mut acc = vec![0.0f32; CELL_TILE.min(shard.len().max(1))];
-            let mut offset = 0;
-            while offset < shard.len() {
-                let len = CELL_TILE.min(shard.len() - offset);
-                let tile = &mut acc[..len];
-                tile.fill(0.0);
-                let base = first + offset;
-                for &(col, measured) in &cols {
-                    let column = &table[col * n_cells + base..col * n_cells + base + len];
-                    rfidraw_simd::sweep_f32(tile, column, measured, simd);
-                }
-                for (v, &a) in shard[offset..offset + len].iter_mut().zip(tile.iter()) {
-                    *v = f64::from(a);
-                }
-                offset += len;
-            }
-        });
-        VoteMap::from_values(self.grid.clone(), values)
-    }
-
-    /// The 16-bit fixed-point sweep: same tiled, measurement-outer /
-    /// cell-inner loop nest as f32, but the per-cell difference is a
-    /// wrapping subtract (the free mod-1-turn fold) on half-width table
-    /// bytes; it then widens *exactly* to f32 (|d| ≤ 2¹⁵ < 2²⁴) and the
-    /// fused `a − d·d` rounds once per term — the sweep's only rounding.
-    /// Measurements go through [`rfidraw_simd::sweep_i16_dual`] in pairs
-    /// (one accumulator pass per two columns), which is bit-identical to
-    /// single sweeps by construction. Write-out converts the f32 sum to
-    /// f64 (exact) and scales by the table's `2⁻²ᴮ` (exact: power of
-    /// two). Every cell's terms arrive in measurement order through the
-    /// identical per-lane instruction sequence, so the map is
-    /// bit-identical for every [`Parallelism`], tile boundary, and
-    /// [`SimdMode`].
-    fn evaluate_i16(&self, measurements: &[PairMeasurement]) -> VoteMap {
-        let cols = self.columns_i16(measurements);
-        let table = self.build_table_i16();
-        let scale = Self::quant_writeout_scale(table.scale_bits);
-        let n_cells = self.grid.len();
-        let mut values = vec![0.0f64; n_cells];
-        let simd = self.simd;
-        #[cfg(feature = "trace")]
-        let _span = obs::SpanTimer::start(
-            self.sink.as_ref(),
-            self.session,
-            Stage::EngineEvaluate,
-            measurements.len() as f64,
-        );
-        self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
-            #[cfg(feature = "trace")]
-            let _shard_span = obs::SpanTimer::start(
-                self.sink.as_ref(),
-                self.session,
-                Stage::EngineShard,
-                first as f64,
-            );
-            let mut acc = vec![0.0f32; CELL_TILE_I16.min(shard.len().max(1))];
-            let mut offset = 0;
-            while offset < shard.len() {
-                let len = CELL_TILE_I16.min(shard.len() - offset);
-                let tile = &mut acc[..len];
-                tile.fill(0.0);
-                let base = first + offset;
-                let mut pairs = cols.chunks_exact(2);
-                for pair in &mut pairs {
-                    let (col_a, q_a) = pair[0];
-                    let (col_b, q_b) = pair[1];
-                    let a = &table.data[col_a * n_cells + base..col_a * n_cells + base + len];
-                    let b = &table.data[col_b * n_cells + base..col_b * n_cells + base + len];
-                    rfidraw_simd::sweep_i16_dual(tile, a, q_a, b, q_b, simd);
-                }
-                for &(col, q_m) in pairs.remainder() {
-                    let column = &table.data[col * n_cells + base..col * n_cells + base + len];
-                    rfidraw_simd::sweep_i16(tile, column, q_m, simd);
-                }
-                for (v, &a) in shard[offset..offset + len].iter_mut().zip(tile.iter()) {
-                    *v = f64::from(a) * scale;
-                }
-                offset += len;
-            }
-        });
-        VoteMap::from_values(self.grid.clone(), values)
-    }
-
-    /// The 8-bit sibling of [`VoteEngine::evaluate_i16`]: i32 tiles
-    /// (terms ≤ 2¹⁴), otherwise the identical exact-integer structure.
-    fn evaluate_i8(&self, measurements: &[PairMeasurement]) -> VoteMap {
-        let cols = self.columns_i8(measurements);
-        let table = self.build_table_i8();
-        let scale = Self::quant_writeout_scale(table.scale_bits);
-        let n_cells = self.grid.len();
-        let mut values = vec![0.0f64; n_cells];
-        let simd = self.simd;
-        #[cfg(feature = "trace")]
-        let _span = obs::SpanTimer::start(
-            self.sink.as_ref(),
-            self.session,
-            Stage::EngineEvaluate,
-            measurements.len() as f64,
-        );
-        self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
-            #[cfg(feature = "trace")]
-            let _shard_span = obs::SpanTimer::start(
-                self.sink.as_ref(),
-                self.session,
-                Stage::EngineShard,
-                first as f64,
-            );
-            let mut acc = vec![0i32; CELL_TILE_I8.min(shard.len().max(1))];
-            let mut offset = 0;
-            while offset < shard.len() {
-                let len = CELL_TILE_I8.min(shard.len() - offset);
-                let tile = &mut acc[..len];
-                tile.fill(0);
-                let base = first + offset;
-                for &(col, q_m) in &cols {
-                    let column = &table.data[col * n_cells + base..col * n_cells + base + len];
-                    rfidraw_simd::sweep_i8(tile, column, q_m, simd);
-                }
-                for (v, &a) in shard[offset..offset + len].iter_mut().zip(tile.iter()) {
-                    *v = -f64::from(a) * scale;
-                }
-                offset += len;
-            }
-        });
-        VoteMap::from_values(self.grid.clone(), values)
+        with_kernel!(self.precision, K => self.evaluate_cells::<K>(measurements, None))
     }
 
     /// Evaluates only the cells inside `window`; everything outside gets
     /// `f64::NEG_INFINITY`. Each in-window cell is computed with exactly
     /// the per-cell operations of [`VoteEngine::evaluate`], so in-window
     /// values are bit-identical to the full-grid map (and a full-grid
-    /// window reproduces [`VoteEngine::evaluate`] bit-for-bit) — at both
-    /// precisions.
+    /// window reproduces [`VoteEngine::evaluate`] bit-for-bit) — at every
+    /// precision.
     ///
     /// Windows are expected to be small (a tracker's neighbourhood), so
     /// this path runs on the calling thread; the saving is doing O(window)
@@ -870,182 +745,33 @@ impl VoteEngine {
         measurements: &[PairMeasurement],
         window: &GridWindow,
     ) -> VoteMap {
-        match self.precision {
-            TablePrecision::F64 => self.evaluate_windowed_f64(measurements, window),
-            TablePrecision::F32 => self.evaluate_windowed_f32(measurements, window),
-            TablePrecision::I16 => self.evaluate_windowed_i16(measurements, window),
-            TablePrecision::I8 => self.evaluate_windowed_i8(measurements, window),
-        }
-    }
-
-    fn evaluate_windowed_f64(
-        &self,
-        measurements: &[PairMeasurement],
-        window: &GridWindow,
-    ) -> VoteMap {
         window.validate(&self.grid);
-        let cols = self.columns(measurements);
-        let table = self.build_table();
-        let n_cells = self.grid.len();
-        let mut values = vec![f64::NEG_INFINITY; n_cells];
-        #[cfg(feature = "trace")]
-        let _span = obs::SpanTimer::start(
-            self.sink.as_ref(),
-            self.session,
-            Stage::EngineEvaluate,
-            measurements.len() as f64,
-        );
-        for iz in window.iz0..=window.iz1 {
-            let start = self.grid.flat(window.ix0, iz);
-            let end = self.grid.flat(window.ix1, iz) + 1;
-            let run = &mut values[start..end];
-            run.fill(0.0);
-            for &(col, measured) in &cols {
-                let column = &table[col * n_cells + start..col * n_cells + end];
-                for (v, &turns) in run.iter_mut().zip(column) {
-                    let f = frac_dist_to_integer(turns - measured);
-                    *v -= f * f;
-                }
-            }
-        }
-        VoteMap::from_values(self.grid.clone(), values)
-    }
-
-    /// Windowed sweep over the f32 table: each window row is its own
-    /// accumulator tile (window rows are short by construction), with the
-    /// same per-cell f32 operation sequence as [`VoteEngine::evaluate`] at
-    /// F32, so in-window values are bit-identical to the full f32 map.
-    fn evaluate_windowed_f32(
-        &self,
-        measurements: &[PairMeasurement],
-        window: &GridWindow,
-    ) -> VoteMap {
-        window.validate(&self.grid);
-        let cols = self.columns_f32(measurements);
-        let table = self.build_table_f32();
-        let n_cells = self.grid.len();
-        let mut values = vec![f64::NEG_INFINITY; n_cells];
-        #[cfg(feature = "trace")]
-        let _span = obs::SpanTimer::start(
-            self.sink.as_ref(),
-            self.session,
-            Stage::EngineEvaluate,
-            measurements.len() as f64,
-        );
-        let width = window.ix1 - window.ix0 + 1;
-        let mut acc = vec![0.0f32; width];
-        for iz in window.iz0..=window.iz1 {
-            let start = self.grid.flat(window.ix0, iz);
-            let end = self.grid.flat(window.ix1, iz) + 1;
-            acc.fill(0.0);
-            for &(col, measured) in &cols {
-                let column = &table[col * n_cells + start..col * n_cells + end];
-                rfidraw_simd::sweep_f32(&mut acc, column, measured, self.simd);
-            }
-            for (v, &a) in values[start..end].iter_mut().zip(acc.iter()) {
-                *v = f64::from(a);
-            }
-        }
-        VoteMap::from_values(self.grid.clone(), values)
-    }
-
-    /// Windowed sweep over the i16 table: each window row is its own f32
-    /// accumulator run through the identical kernel, so in-window values
-    /// are bit-identical to the full i16 map.
-    fn evaluate_windowed_i16(
-        &self,
-        measurements: &[PairMeasurement],
-        window: &GridWindow,
-    ) -> VoteMap {
-        window.validate(&self.grid);
-        let cols = self.columns_i16(measurements);
-        let table = self.build_table_i16();
-        let scale = Self::quant_writeout_scale(table.scale_bits);
-        let n_cells = self.grid.len();
-        let mut values = vec![f64::NEG_INFINITY; n_cells];
-        #[cfg(feature = "trace")]
-        let _span = obs::SpanTimer::start(
-            self.sink.as_ref(),
-            self.session,
-            Stage::EngineEvaluate,
-            measurements.len() as f64,
-        );
-        let width = window.ix1 - window.ix0 + 1;
-        let mut acc = vec![0.0f32; width];
-        for iz in window.iz0..=window.iz1 {
-            let start = self.grid.flat(window.ix0, iz);
-            let end = self.grid.flat(window.ix1, iz) + 1;
-            acc.fill(0.0);
-            for &(col, q_m) in &cols {
-                let column = &table.data[col * n_cells + start..col * n_cells + end];
-                rfidraw_simd::sweep_i16(&mut acc, column, q_m, self.simd);
-            }
-            for (v, &a) in values[start..end].iter_mut().zip(acc.iter()) {
-                *v = f64::from(a) * scale;
-            }
-        }
-        VoteMap::from_values(self.grid.clone(), values)
-    }
-
-    /// The i8 sibling of [`VoteEngine::evaluate_windowed_i16`].
-    fn evaluate_windowed_i8(
-        &self,
-        measurements: &[PairMeasurement],
-        window: &GridWindow,
-    ) -> VoteMap {
-        window.validate(&self.grid);
-        let cols = self.columns_i8(measurements);
-        let table = self.build_table_i8();
-        let scale = Self::quant_writeout_scale(table.scale_bits);
-        let n_cells = self.grid.len();
-        let mut values = vec![f64::NEG_INFINITY; n_cells];
-        #[cfg(feature = "trace")]
-        let _span = obs::SpanTimer::start(
-            self.sink.as_ref(),
-            self.session,
-            Stage::EngineEvaluate,
-            measurements.len() as f64,
-        );
-        let width = window.ix1 - window.ix0 + 1;
-        let mut acc = vec![0i32; width];
-        for iz in window.iz0..=window.iz1 {
-            let start = self.grid.flat(window.ix0, iz);
-            let end = self.grid.flat(window.ix1, iz) + 1;
-            acc.fill(0);
-            for &(col, q_m) in &cols {
-                let column = &table.data[col * n_cells + start..col * n_cells + end];
-                rfidraw_simd::sweep_i8(&mut acc, column, q_m, self.simd);
-            }
-            for (v, &a) in values[start..end].iter_mut().zip(acc.iter()) {
-                *v = -f64::from(a) * scale;
-            }
-        }
-        VoteMap::from_values(self.grid.clone(), values)
+        with_kernel!(self.precision, K => self.evaluate_cells::<K>(measurements, Some(window)))
     }
 
     /// Like [`VoteEngine::evaluate`] but only on cells where `mask` is
     /// true; masked-out cells get `f64::NEG_INFINITY`. At
     /// [`TablePrecision::F64`], bit-identical to
-    /// [`VoteMap::evaluate_masked`] on the same inputs; at
-    /// [`TablePrecision::F32`], bit-identical to the f32 full-grid map on
-    /// the kept cells, whether or not the f32 table is built yet.
+    /// [`VoteMap::evaluate_masked`] on the same inputs; at every
+    /// precision, bit-identical to the full map on the kept cells, whether
+    /// or not the table is built yet.
     ///
     /// # Panics
     /// Panics if the mask length does not match the grid.
     pub fn evaluate_masked(&self, measurements: &[PairMeasurement], mask: &[bool]) -> VoteMap {
-        match self.precision {
-            TablePrecision::F64 => self.evaluate_masked_f64(measurements, mask),
-            TablePrecision::F32 => self.evaluate_masked_f32(measurements, mask),
-            TablePrecision::I16 => self.evaluate_masked_i16(measurements, mask),
-            TablePrecision::I8 => self.evaluate_masked_i8(measurements, mask),
-        }
+        assert_eq!(mask.len(), self.grid.len(), "mask length must match the grid");
+        with_kernel!(self.precision, K => self.evaluate_kept::<K>(measurements, mask))
     }
 
-    fn evaluate_masked_f64(&self, measurements: &[PairMeasurement], mask: &[bool]) -> VoteMap {
-        assert_eq!(mask.len(), self.grid.len(), "mask length must match the grid");
-        let cols = self.columns(measurements);
-        let n_cells = self.grid.len();
-        let mut values = vec![0.0; n_cells];
+    /// The cell-range driver: the whole grid as one run sharded by the
+    /// execution policy, or each row of `window` as one serial run.
+    fn evaluate_cells<K: Kernel>(
+        &self,
+        measurements: &[PairMeasurement],
+        window: Option<&GridWindow>,
+    ) -> VoteMap {
+        let cols = self.columns::<K>(measurements);
+        let table = self.table::<K>();
         #[cfg(feature = "trace")]
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
@@ -1053,40 +779,8 @@ impl VoteEngine {
             Stage::EngineEvaluate,
             measurements.len() as f64,
         );
-        if let Some(table) = self.table.get() {
-            // Compact the kept cells once, accumulate measurement-outer
-            // over the compact list (gathering from each pair column), and
-            // scatter the sums back. Per kept cell the `-f²` terms arrive
-            // in measurement order — the reference path's exact per-cell
-            // sequence — and masked-out cells are set to `-inf` directly,
-            // also exactly as the reference does.
-            let kept: Vec<usize> = (0..n_cells).filter(|&c| mask[c]).collect();
-            let mut acc = vec![0.0; kept.len()];
-            self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                #[cfg(feature = "trace")]
-                let _shard_span = obs::SpanTimer::start(
-                    self.sink.as_ref(),
-                    self.session,
-                    Stage::EngineShard,
-                    first as f64,
-                );
-                let cells = &kept[first..first + shard.len()];
-                for &(col, measured) in &cols {
-                    let column = &table[col * n_cells..(col + 1) * n_cells];
-                    for (a, &c) in shard.iter_mut().zip(cells) {
-                        let f = frac_dist_to_integer(column[c] - measured);
-                        *a -= f * f;
-                    }
-                }
-            });
-            values.fill(f64::NEG_INFINITY);
-            for (&c, &a) in kept.iter().zip(&acc) {
-                values[c] = a;
-            }
-        } else {
-            // No table yet: compute distances on the fly for kept cells only.
-            // Exactly the same per-cell operations as the table path (the
-            // table entry *is* `turns`), so the result is bit-identical.
+        let Some(window) = window else {
+            let mut values = vec![0.0; self.grid.len()];
             self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
                 #[cfg(feature = "trace")]
                 let _shard_span = obs::SpanTimer::start(
@@ -1095,39 +789,50 @@ impl VoteEngine {
                     Stage::EngineShard,
                     first as f64,
                 );
-                for (i, v) in shard.iter_mut().enumerate() {
-                    let c = first + i;
-                    if !mask[c] {
-                        *v = f64::NEG_INFINITY;
-                        continue;
-                    }
-                    let (ix, iz) = self.grid.unflat(c);
-                    let p3 = self.plane.lift(self.grid.point(ix, iz));
-                    let mut acc = 0.0;
-                    for &(col, measured) in &cols {
-                        let (pi, pj) = self.geom[col];
-                        let turns = self.turns_factor * (p3.dist(pi) - p3.dist(pj));
-                        let f = frac_dist_to_integer(turns - measured);
-                        acc -= f * f;
-                    }
-                    *v = acc;
-                }
+                let mut acc = vec![K::Acc::default(); CELL_TILE.min(shard.len())];
+                self.sweep_run(table, &cols, first, shard, &mut acc);
             });
+            return VoteMap::from_values(self.grid.clone(), values);
+        };
+        let mut values = vec![f64::NEG_INFINITY; self.grid.len()];
+        let mut acc = vec![K::Acc::default(); CELL_TILE.min(window.ix1 - window.ix0 + 1)];
+        for iz in window.iz0..=window.iz1 {
+            let start = self.grid.flat(window.ix0, iz);
+            let end = self.grid.flat(window.ix1, iz) + 1;
+            self.sweep_run(table, &cols, start, &mut values[start..end], &mut acc);
         }
         VoteMap::from_values(self.grid.clone(), values)
     }
 
-    /// Masked sweep at f32. Mirrors the f64 path's two internally
-    /// identical strategies: gather from the built f32 table, or compute
-    /// turns on the fly (quantizing each on-the-fly entry with the exact
-    /// `as f32` cast the table builder uses), so which path runs never
-    /// changes a bit. Kept cells accumulate in f32 tiles and widen on
-    /// write-out, exactly as [`VoteEngine::evaluate`] at F32 does.
-    fn evaluate_masked_f32(&self, measurements: &[PairMeasurement], mask: &[bool]) -> VoteMap {
-        assert_eq!(mask.len(), self.grid.len(), "mask length must match the grid");
-        let cols = self.columns_f32(measurements);
+    /// Writes the votes of the contiguous cells `first..first + out.len()`
+    /// into `out`, one accumulator tile of up to `acc.len()` cells at a
+    /// time.
+    fn sweep_run<K: Kernel>(
+        &self,
+        table: &[K],
+        cols: &[(usize, K)],
+        first: usize,
+        out: &mut [f64],
+        acc: &mut [K::Acc],
+    ) {
         let n_cells = self.grid.len();
-        let mut values = vec![f64::NEG_INFINITY; n_cells];
+        let tile_len = acc.len().max(1);
+        for (i, out) in out.chunks_mut(tile_len).enumerate() {
+            let tile = &mut acc[..out.len()];
+            tile.fill(K::Acc::default());
+            K::sweep_all(tile, table, n_cells, first + i * tile_len, cols, self.simd);
+            for (v, &a) in out.iter_mut().zip(tile.iter()) {
+                *v = K::vote(a);
+            }
+        }
+    }
+
+    /// The masked drivers: compacts the kept cells once, accumulates them
+    /// by gathering from the built table or, if it is not built yet, from
+    /// entries computed on the fly, and scatters the votes back.
+    fn evaluate_kept<K: Kernel>(&self, measurements: &[PairMeasurement], mask: &[bool]) -> VoteMap {
+        let cols = self.columns::<K>(measurements);
+        let table = K::slot(&self.slots).get();
         #[cfg(feature = "trace")]
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
@@ -1135,225 +840,74 @@ impl VoteEngine {
             Stage::EngineEvaluate,
             measurements.len() as f64,
         );
-        let kept: Vec<usize> = (0..n_cells).filter(|&c| mask[c]).collect();
-        let mut acc = vec![0.0f32; kept.len()];
-        if let Some(table) = self.table_f32.get() {
-            self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                #[cfg(feature = "trace")]
-                let _shard_span = obs::SpanTimer::start(
-                    self.sink.as_ref(),
-                    self.session,
-                    Stage::EngineShard,
-                    first as f64,
-                );
-                let cells = &kept[first..first + shard.len()];
-                let mut offset = 0;
-                while offset < shard.len() {
-                    let len = CELL_TILE.min(shard.len() - offset);
-                    let tile = &mut shard[offset..offset + len];
-                    let tile_cells = &cells[offset..offset + len];
-                    for &(col, measured) in &cols {
-                        let column = &table[col * n_cells..(col + 1) * n_cells];
-                        for (a, &c) in tile.iter_mut().zip(tile_cells) {
-                            let f = frac_dist_to_integer_f32(column[c] - measured);
-                            *a -= f * f;
-                        }
-                    }
-                    offset += len;
-                }
-            });
-        } else {
-            // No f32 table yet: quantize on-the-fly turns exactly as the
-            // table builder would, then run the identical f32 term
-            // sequence per kept cell.
-            self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                #[cfg(feature = "trace")]
-                let _shard_span = obs::SpanTimer::start(
-                    self.sink.as_ref(),
-                    self.session,
-                    Stage::EngineShard,
-                    first as f64,
-                );
-                for (i, a) in shard.iter_mut().enumerate() {
-                    let c = kept[first + i];
-                    let (ix, iz) = self.grid.unflat(c);
-                    let p3 = self.plane.lift(self.grid.point(ix, iz));
-                    for &(col, measured) in &cols {
-                        let (pi, pj) = self.geom[col];
-                        let turns = (self.turns_factor * (p3.dist(pi) - p3.dist(pj))) as f32;
-                        let f = frac_dist_to_integer_f32(turns - measured);
-                        *a -= f * f;
-                    }
-                }
-            });
-        }
+        let kept: Vec<usize> = (0..self.grid.len()).filter(|&c| mask[c]).collect();
+        let mut acc = vec![K::Acc::default(); kept.len()];
+        self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
+            #[cfg(feature = "trace")]
+            let _shard_span = obs::SpanTimer::start(
+                self.sink.as_ref(),
+                self.session,
+                Stage::EngineShard,
+                first as f64,
+            );
+            let cells = &kept[first..first + shard.len()];
+            match table {
+                Some(table) => self.gather(table, &cols, cells, shard),
+                None => self.on_the_fly(&cols, cells, shard),
+            }
+        });
+        let mut values = vec![f64::NEG_INFINITY; self.grid.len()];
         for (&c, &a) in kept.iter().zip(&acc) {
-            values[c] = f64::from(a);
+            values[c] = K::vote(a);
         }
         VoteMap::from_values(self.grid.clone(), values)
     }
 
-    /// Masked sweep at i16. Mirrors the float paths' two strategies —
-    /// gather from the built table, or quantize turns on the fly with the
-    /// exact quantizer the table builder uses — and both run the scalar
-    /// kernel's exact per-cell sequence (wrapping subtract, exact f32
-    /// widen, fused square-and-subtract) in measurement order, so both
-    /// paths and the full map agree bit-for-bit on kept cells.
-    fn evaluate_masked_i16(&self, measurements: &[PairMeasurement], mask: &[bool]) -> VoteMap {
-        assert_eq!(mask.len(), self.grid.len(), "mask length must match the grid");
-        let cols = self.columns_i16(measurements);
+    /// Masked gather driver: measurement-outer over the kept `cells`,
+    /// [`CELL_TILE`] accumulators at a time, reading each cell's entry
+    /// from its pair column.
+    fn gather<K: Kernel>(
+        &self,
+        table: &[K],
+        cols: &[(usize, K)],
+        cells: &[usize],
+        acc: &mut [K::Acc],
+    ) {
         let n_cells = self.grid.len();
-        let mut values = vec![f64::NEG_INFINITY; n_cells];
-        #[cfg(feature = "trace")]
-        let _span = obs::SpanTimer::start(
-            self.sink.as_ref(),
-            self.session,
-            Stage::EngineEvaluate,
-            measurements.len() as f64,
-        );
-        let kept: Vec<usize> = (0..n_cells).filter(|&c| mask[c]).collect();
-        let mut acc = vec![0.0f32; kept.len()];
-        let scale;
-        if let Some(table) = self.table_i16.get() {
-            scale = Self::quant_writeout_scale(table.scale_bits);
-            self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                #[cfg(feature = "trace")]
-                let _shard_span = obs::SpanTimer::start(
-                    self.sink.as_ref(),
-                    self.session,
-                    Stage::EngineShard,
-                    first as f64,
-                );
-                let cells = &kept[first..first + shard.len()];
-                let mut offset = 0;
-                while offset < shard.len() {
-                    let len = CELL_TILE_I16.min(shard.len() - offset);
-                    let tile = &mut shard[offset..offset + len];
-                    let tile_cells = &cells[offset..offset + len];
-                    for &(col, q_m) in &cols {
-                        let column = &table.data[col * n_cells..(col + 1) * n_cells];
-                        for (a, &c) in tile.iter_mut().zip(tile_cells) {
-                            let d = i32::from(column[c].wrapping_sub(q_m)) as f32;
-                            *a = (-d).mul_add(d, *a);
-                        }
-                    }
-                    offset += len;
+        for (tile, tile_cells) in acc.chunks_mut(CELL_TILE).zip(cells.chunks(CELL_TILE)) {
+            for &(col, measured) in cols {
+                let column = run(table, n_cells, col, 0, n_cells);
+                for (a, &c) in tile.iter_mut().zip(tile_cells) {
+                    K::term(a, column[c], measured);
                 }
-            });
-        } else {
-            // No i16 table yet: quantize on-the-fly turns exactly as the
-            // table builder would; the arithmetic that follows is the
-            // scalar kernel's own sequence, so the result matches the
-            // table path bit-for-bit.
-            scale = Self::quant_writeout_scale(i16::BITS);
-            self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                #[cfg(feature = "trace")]
-                let _shard_span = obs::SpanTimer::start(
-                    self.sink.as_ref(),
-                    self.session,
-                    Stage::EngineShard,
-                    first as f64,
-                );
-                for (i, a) in shard.iter_mut().enumerate() {
-                    let c = kept[first + i];
-                    let (ix, iz) = self.grid.unflat(c);
-                    let p3 = self.plane.lift(self.grid.point(ix, iz));
-                    for &(col, q_m) in &cols {
-                        let (pi, pj) = self.geom[col];
-                        let q = quantize_turns_i16(self.turns_factor * (p3.dist(pi) - p3.dist(pj)));
-                        let d = i32::from(q.wrapping_sub(q_m)) as f32;
-                        *a = (-d).mul_add(d, *a);
-                    }
-                }
-            });
+            }
         }
-        for (&c, &a) in kept.iter().zip(&acc) {
-            values[c] = f64::from(a) * scale;
-        }
-        VoteMap::from_values(self.grid.clone(), values)
     }
 
-    /// The i8 sibling of [`VoteEngine::evaluate_masked_i16`].
-    fn evaluate_masked_i8(&self, measurements: &[PairMeasurement], mask: &[bool]) -> VoteMap {
-        assert_eq!(mask.len(), self.grid.len(), "mask length must match the grid");
-        let cols = self.columns_i8(measurements);
-        let n_cells = self.grid.len();
-        let mut values = vec![f64::NEG_INFINITY; n_cells];
-        #[cfg(feature = "trace")]
-        let _span = obs::SpanTimer::start(
-            self.sink.as_ref(),
-            self.session,
-            Stage::EngineEvaluate,
-            measurements.len() as f64,
-        );
-        let kept: Vec<usize> = (0..n_cells).filter(|&c| mask[c]).collect();
-        let mut acc = vec![0i32; kept.len()];
-        let scale;
-        if let Some(table) = self.table_i8.get() {
-            scale = Self::quant_writeout_scale(table.scale_bits);
-            self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                #[cfg(feature = "trace")]
-                let _shard_span = obs::SpanTimer::start(
-                    self.sink.as_ref(),
-                    self.session,
-                    Stage::EngineShard,
-                    first as f64,
-                );
-                let cells = &kept[first..first + shard.len()];
-                let mut offset = 0;
-                while offset < shard.len() {
-                    let len = CELL_TILE_I8.min(shard.len() - offset);
-                    let tile = &mut shard[offset..offset + len];
-                    let tile_cells = &cells[offset..offset + len];
-                    for &(col, q_m) in &cols {
-                        let column = &table.data[col * n_cells..(col + 1) * n_cells];
-                        for (a, &c) in tile.iter_mut().zip(tile_cells) {
-                            let d = i32::from(column[c].wrapping_sub(q_m));
-                            *a += d * d;
-                        }
-                    }
-                    offset += len;
-                }
-            });
-        } else {
-            scale = Self::quant_writeout_scale(i8::BITS);
-            self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-                #[cfg(feature = "trace")]
-                let _shard_span = obs::SpanTimer::start(
-                    self.sink.as_ref(),
-                    self.session,
-                    Stage::EngineShard,
-                    first as f64,
-                );
-                for (i, a) in shard.iter_mut().enumerate() {
-                    let c = kept[first + i];
-                    let (ix, iz) = self.grid.unflat(c);
-                    let p3 = self.plane.lift(self.grid.point(ix, iz));
-                    for &(col, q_m) in &cols {
-                        let (pi, pj) = self.geom[col];
-                        let q = quantize_turns_i8(self.turns_factor * (p3.dist(pi) - p3.dist(pj)));
-                        let d = i32::from(q.wrapping_sub(q_m));
-                        *a += d * d;
-                    }
-                }
-            });
+    /// Masked on-the-fly driver: builds each kept cell's entries from the
+    /// geometry with the table builder's own [`Kernel::entry`], so the
+    /// result matches the gather driver bit-for-bit.
+    fn on_the_fly<K: Kernel>(&self, cols: &[(usize, K)], cells: &[usize], acc: &mut [K::Acc]) {
+        for (a, &c) in acc.iter_mut().zip(cells) {
+            let p3 = self.cell(c);
+            for &(col, measured) in cols {
+                K::term(a, K::entry(self.turns(p3, self.geom[col])), measured);
+            }
         }
-        for (&c, &a) in kept.iter().zip(&acc) {
-            values[c] = -f64::from(a) * scale;
-        }
-        VoteMap::from_values(self.grid.clone(), values)
     }
 
-    /// A **derived** worst-case bound on `|vote_f32(c) − vote_f64(c)|`
-    /// over every cell `c`, for this engine and measurement set — the
-    /// quantity the accuracy gates assert against, computed from the
-    /// actual table magnitudes rather than assumed.
+    /// A **derived** worst-case bound on `|vote_p(c) − vote_f64(c)|` over
+    /// every cell `c`, for this engine, measurement set and precision `p`
+    /// — the quantity the accuracy gates assert against, computed from the
+    /// actual table magnitudes rather than assumed. Zero for F64, which is
+    /// bit-identical to the reference.
     ///
-    /// Derivation (ε₃₂ = 2⁻²⁴, ε₆₄ = 2⁻⁵³; full walk-through in
-    /// DESIGN.md §11). Let `t` be a cell's f64 table entry, `m` the
-    /// measured turns, `x = t − m` in exact arithmetic, `g(x) = |x −
-    /// nearest_int(x)|` the triangle wave both kernels evaluate, and
-    /// `Sₖ = max_c |t| + |m|` for measurement `k`:
+    /// Notation (ε₃₂ = 2⁻²⁴, ε₆₄ = 2⁻⁵³): `t` is a cell's f64 table entry,
+    /// `m` the measured turns, `x = t − m` in exact arithmetic, `g(x) = |x
+    /// − nearest_int(x)|` the triangle wave every kernel evaluates, and
+    /// `Sₖ = max_c |t| + |m|` for measurement `k`.
+    ///
+    /// **F32** (full walk-through in DESIGN.md §11):
     ///
     /// 1. **Input rounding.** `fl32(t)` and `fl32(m)` each carry relative
     ///    error ε₃₂; their f32 subtraction adds one more. The computed
@@ -1370,128 +924,83 @@ impl VoteEngine {
     /// 4. **Accumulation.** Partial sums after `j` of `n` terms are at
     ///    most `0.2501·j` in magnitude, so the `j`-th f32 subtraction errs
     ///    by `≤ ε₃₂·0.2501·j`; summing gives `≤ ε₃₂·0.2501·n(n+1)/2`.
-    /// 5. **The f64 path is not exact either**: it carries the same-form
-    ///    error with ε₆₄ in place of ε₃₂ (steps 1 and 3 shrink because
-    ///    only the subtraction rounds), which the bound adds with the
-    ///    coefficients `1.01·ε₆₄·Sₖ + 0.26·ε₆₄` per term plus the ε₆₄
-    ///    accumulation series, covering the distance between either
-    ///    computed sum and the exact one.
     ///
-    /// The f32 argmax cell is therefore **provably identical** to the f64
-    /// argmax whenever the f64 map's gap between its best and runner-up
-    /// cells exceeds twice this bound — the deployment-envelope criterion
-    /// the kernel-equivalence suite asserts.
+    /// **I16 / I8** (scale `2ᴮ` quanta per turn, quantization step
+    /// `h = 2⁻ᴮ` turns; full walk-through in DESIGN.md §15):
+    ///
+    /// 1. **Quantization.** Table entry and measured turns each round to
+    ///    the nearest quantum (error ≤ `h/2`), so the dequantized
+    ///    difference is within `h` of the exact `x` — modulo 1, because
+    ///    integer turns wrap away at the type boundary.
+    /// 2. **Exact fold.** The kernel's wrapping subtraction computes the
+    ///    mod-1 remainder of the *quantized* difference exactly:
+    ///    `|d|·h = g(x + δ)` with `|δ| ≤ h`. `g` is 1-Lipschitz, so
+    ///    `|g(x+δ) − g(x)| ≤ h`, and `g ≤ ½` bounds the per-term damage
+    ///    of squaring: `|ĝ² − g²| ≤ (ĝ + g)·h ≤ h`.
+    /// 3. **Square and sum.** I8 squares and accumulates in plain
+    ///    integers — no rounding at all. I16 widens `d` to f32 exactly
+    ///    (|d| ≤ 2¹⁵ < 2²⁴) and its *fused* `a − d·d` admits the exact
+    ///    product, so only the accumulation itself rounds: the
+    ///    `0.2501·ε₃₂·n(n+1)/2` series of the F32 step 4, with no
+    ///    per-term square error.
+    /// 4. **Exact write-out.** The accumulator (integer sum below 2³⁰, or
+    ///    f32) converts to f64 exactly, and `2⁻²ᴮ` is a power of two, so
+    ///    the scaling multiply is exact.
+    ///
+    /// **Every precision** adds the f64 path's own rounding, because the
+    /// reference is not exact either: the same-form error with ε₆₄ in
+    /// place of ε₃₂ (only the subtraction and the square round), i.e.
+    /// `1.01·ε₆₄·Sₖ + 0.26·ε₆₄` per term plus the `0.2501·ε₆₄·n(n+1)/2`
+    /// accumulation series, covering the distance between either computed
+    /// sum and the exact one.
+    ///
+    /// The reduced-precision argmax cell is therefore **provably
+    /// identical** to the f64 argmax whenever the f64 map's gap between
+    /// its best and runner-up cells exceeds twice this bound — the
+    /// deployment-envelope criterion the kernel-equivalence suite asserts.
     ///
     /// Builds the f64 table if needed (the bound needs the true column
     /// magnitudes).
     ///
     /// # Panics
     /// Panics if a measurement's pair is unknown to the engine, or if a
-    /// column's `Sₖ` exceeds the `2²²` envelope of the exact-frac argument
-    /// (physically impossible for any real deployment).
-    pub fn f32_vote_error_bound(&self, measurements: &[PairMeasurement]) -> f64 {
-        const EPS32: f64 = 5.960_464_477_539_063e-8; // 2⁻²⁴
-        const EPS64: f64 = 1.110_223_024_625_156_5e-16; // 2⁻⁵³
-        let table = self.build_table();
-        let n_cells = self.grid.len();
-        let mut per_term = 0.0f64;
-        for (col, measured) in self.columns(measurements) {
-            let col_max = table[col * n_cells..(col + 1) * n_cells]
-                .iter()
-                .fold(0.0f64, |m, &t| m.max(t.abs()));
-            let s = col_max + measured.abs();
-            assert!(
-                s < (1u64 << 22) as f64,
-                "measurement magnitude {s} turns exceeds the f32 envelope"
-            );
-            per_term += (2.01 * 1.01 * EPS32 + 1.01 * EPS64) * s + 0.26 * (EPS32 + EPS64);
-        }
-        let n = measurements.len() as f64;
-        per_term + 0.2501 * (EPS32 + EPS64) * n * (n + 1.0) / 2.0
-    }
-
-    /// A **derived** worst-case bound on `|vote_p(c) − vote_f64(c)|` over
-    /// every cell, for any precision `p` — the generalization of
-    /// [`VoteEngine::f32_vote_error_bound`] to the quantized tables.
-    ///
-    /// For F64 the engine is bit-identical to the reference, so the bound
-    /// is zero; F32 delegates to the f32 derivation. For I16/I8 (scale
-    /// `2ᴮ` quanta per turn, quantization step `h = 2⁻ᴮ` turns; full
-    /// walk-through in DESIGN.md §15):
-    ///
-    /// 1. **Quantization.** Table entry and measured turns each round to
-    ///    the nearest quantum (error ≤ `h/2`), so the dequantized
-    ///    difference is within `h` of the exact `x = t − m` — modulo 1,
-    ///    because integer turns wrap away at the type boundary.
-    /// 2. **Exact fold.** The kernel's wrapping subtraction computes the
-    ///    mod-1 remainder of the *quantized* difference exactly:
-    ///    `|d|·h = g(x + δ)` with `|δ| ≤ h`, `g` the triangle wave. `g`
-    ///    is 1-Lipschitz, so `|g(x+δ) − g(x)| ≤ h`, and `g ≤ ½` bounds
-    ///    the per-term damage of squaring: `|ĝ² − g²| ≤ (ĝ + g)·h ≤ h`.
-    /// 3. **Square and sum.** I8 squares and accumulates in plain
-    ///    integers — no rounding at all. I16 widens `d` to f32 exactly
-    ///    (|d| ≤ 2¹⁵ < 2²⁴) and its *fused* `a − d·d` admits the exact
-    ///    product, so only the accumulation itself rounds: the `j`-th
-    ///    fused term lands on a partial sum ≤ `0.2501·j` turns² and errs
-    ///    by ≤ `ε₃₂·0.2501·j` — summed, the `0.2501·ε₃₂·n(n+1)/2`
-    ///    series, exactly the f32 derivation's step 4 shape with no
-    ///    per-term square error.
-    /// 4. **Exact write-out.** The accumulator (integer sum below 2³⁰, or
-    ///    f32) converts to f64 exactly, and `2⁻²ᴮ` is a power of two, so
-    ///    the scaling multiply is exact.
-    /// 5. **The f64 path is not exact**: as in the f32 derivation, add
-    ///    its own rounding — `1.01·ε₆₄·Sₖ + 0.26·ε₆₄` per term plus the
-    ///    `0.2501·ε₆₄·n(n+1)/2` accumulation series.
-    ///
-    /// The argmax-identity theorem carries over unchanged: the quantized
-    /// argmax cell provably equals the f64 argmax whenever the f64 map's
-    /// best/runner-up gap exceeds twice this bound.
-    ///
-    /// Builds the f64 table if needed (step 5 needs the true column
-    /// magnitudes).
-    ///
-    /// # Panics
-    /// Panics if a measurement's pair is unknown to the engine, or if a
-    /// column magnitude exceeds the `2²²`-turn envelope.
+    /// column's `Sₖ` exceeds the `2²²`-turn envelope of the exact-frac
+    /// argument (physically impossible for any real deployment).
     pub fn vote_error_bound(
         &self,
         measurements: &[PairMeasurement],
         precision: TablePrecision,
     ) -> f64 {
-        let scale_bits = match precision {
-            TablePrecision::F64 => return 0.0,
-            TablePrecision::F32 => return self.f32_vote_error_bound(measurements),
-            TablePrecision::I16 => i16::BITS,
-            TablePrecision::I8 => i8::BITS,
-        };
         const EPS32: f64 = 5.960_464_477_539_063e-8; // 2⁻²⁴
         const EPS64: f64 = 1.110_223_024_625_156_5e-16; // 2⁻⁵³
-        // I16 accumulates in f32 with fused terms (step 3); I8 is pure
-        // integer, so its accumulation contributes nothing.
-        let eps_acc = match precision {
-            TablePrecision::I16 => EPS32,
-            _ => 0.0,
+        // Per precision: quantization step h (steps 1–2), f32 input
+        // rounding (F32 steps 1–3), f32 square rounding (F32 step 3), and
+        // f32 accumulation (F32 step 4, I16 step 3).
+        let (h, input_eps, square_eps, acc_eps) = match precision {
+            TablePrecision::F64 => return 0.0,
+            TablePrecision::F32 => (0.0, 2.01 * 1.01 * EPS32, EPS32, EPS32),
+            TablePrecision::I16 => (f64::from(i16::BITS).exp2().recip(), 0.0, 0.0, EPS32),
+            TablePrecision::I8 => (f64::from(i8::BITS).exp2().recip(), 0.0, 0.0, 0.0),
         };
-        let h = (f64::from(scale_bits).exp2()).recip();
-        let table = self.build_table();
+        let table = self.table::<f64>();
         let n_cells = self.grid.len();
         let mut per_term = 0.0f64;
-        for (col, measured) in self.columns(measurements) {
-            let col_max = table[col * n_cells..(col + 1) * n_cells]
+        for (col, measured) in self.columns::<f64>(measurements) {
+            let col_max = run(table, n_cells, col, 0, n_cells)
                 .iter()
                 .fold(0.0f64, |m, &t| m.max(t.abs()));
             let s = col_max + measured.abs();
             assert!(
                 s < (1u64 << 22) as f64,
-                "measurement magnitude {s} turns exceeds the quantization envelope"
+                "measurement magnitude {s} turns exceeds the {} envelope",
+                precision.label()
             );
-            per_term += h + 1.01 * EPS64 * s + 0.26 * EPS64;
+            per_term += h + (input_eps + 1.01 * EPS64) * s + 0.26 * (square_eps + EPS64);
         }
         let n = measurements.len() as f64;
-        per_term + 0.2501 * (eps_acc + EPS64) * n * (n + 1.0) / 2.0
+        per_term + 0.2501 * (acc_eps + EPS64) * n * (n + 1.0) / 2.0
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1543,7 +1052,7 @@ mod tests {
         // Lazy path first (no table yet), then the table-backed path.
         assert!(!engine.is_table_built());
         let lazy = engine.evaluate_masked(&ms, &mask);
-        engine.build_table();
+        engine.prebuild();
         let tabled = engine.evaluate_masked(&ms, &mask);
         assert_eq!(bits(reference.values()), bits(lazy.values()));
         assert_eq!(bits(reference.values()), bits(tabled.values()));
@@ -1568,9 +1077,9 @@ mod tests {
     fn table_is_built_once_and_reused() {
         let (dep, plane, grid, ms) = setup();
         let engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
-        let first = engine.build_table().as_ptr();
+        let first = engine.table::<f64>().as_ptr();
         engine.evaluate(&ms);
-        assert_eq!(first, engine.build_table().as_ptr());
+        assert_eq!(first, engine.table::<f64>().as_ptr());
         assert!(engine.is_table_built());
     }
 
@@ -1646,7 +1155,7 @@ mod tests {
         assert_eq!(engine.precision(), TablePrecision::F32);
         assert_eq!(engine.table_bytes() * 2, f64_bytes);
         assert_eq!(
-            engine.build_table_f32().len() * std::mem::size_of::<f32>(),
+            engine.table::<f32>().len() * std::mem::size_of::<f32>(),
             engine.table_bytes() as usize
         );
     }
@@ -1657,7 +1166,7 @@ mod tests {
         let reference = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
         let f64_map = reference.evaluate(&ms);
         let f32_map = f32_engine(&dep, plane, grid, Parallelism::Serial).evaluate(&ms);
-        let bound = reference.f32_vote_error_bound(&ms);
+        let bound = reference.vote_error_bound(&ms, TablePrecision::F32);
         // The bound must be meaningful (small) as well as honored.
         assert!(bound < 1e-4, "derived bound {bound} is uselessly loose");
         let worst = f64_map
@@ -1706,7 +1215,7 @@ mod tests {
         let engine = f32_engine(&dep, plane, grid, Parallelism::Threads(3));
         assert!(!engine.is_table_built());
         let lazy = engine.evaluate_masked(&ms, &mask);
-        engine.build_table_f32();
+        engine.prebuild();
         assert!(engine.is_table_built());
         let tabled = engine.evaluate_masked(&ms, &mask);
         assert_eq!(bits(lazy.values()), bits(tabled.values()));
@@ -1756,14 +1265,12 @@ mod tests {
         engine.set_precision(TablePrecision::I16);
         assert_eq!(engine.table_bytes() * 4, f64_bytes);
         assert_eq!(
-            engine.build_table_i16().data.len() * std::mem::size_of::<i16>(),
+            engine.table::<i16>().len() * std::mem::size_of::<i16>(),
             engine.table_bytes() as usize
         );
-        assert_eq!(engine.build_table_i16().scale_bits, 16);
         engine.set_precision(TablePrecision::I8);
         assert_eq!(engine.table_bytes() * 8, f64_bytes);
-        assert_eq!(engine.build_table_i8().data.len(), engine.table_bytes() as usize);
-        assert_eq!(engine.build_table_i8().scale_bits, 8);
+        assert_eq!(engine.table::<i8>().len(), engine.table_bytes() as usize);
     }
 
     #[test]
@@ -1875,15 +1382,15 @@ mod tests {
     fn set_precision_detaches_onto_fresh_private_slots() {
         let (dep, plane, grid, _) = setup();
         let mut engine = VoteEngine::for_deployment(&dep, plane, grid, Parallelism::Serial);
-        engine.build_table();
+        engine.prebuild();
         assert!(engine.is_table_built());
         engine.set_precision(TablePrecision::F32);
         // The built f64 table was dropped with the old slot; the f32 slot
         // is fresh. Setting the same precision again is a no-op.
         assert!(!engine.is_table_built());
-        engine.build_table_f32();
-        let ptr = engine.build_table_f32().as_ptr();
+        engine.prebuild();
+        let ptr = engine.table::<f32>().as_ptr();
         engine.set_precision(TablePrecision::F32);
-        assert_eq!(ptr, engine.build_table_f32().as_ptr());
+        assert_eq!(ptr, engine.table::<f32>().as_ptr());
     }
 }

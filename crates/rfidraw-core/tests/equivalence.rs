@@ -87,7 +87,7 @@ fn masked_vote_map_is_bit_identical_across_thread_counts() {
         let engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), par);
         // Both the lazy and the table-backed masked paths must agree.
         let lazy = engine.evaluate_masked(&ms, &mask);
-        engine.build_table();
+        engine.prebuild();
         let tabled = engine.evaluate_masked(&ms, &mask);
         assert_eq!(bits(reference.values()), bits(lazy.values()), "lazy {par:?}");
         assert_eq!(bits(reference.values()), bits(tabled.values()), "tabled {par:?}");

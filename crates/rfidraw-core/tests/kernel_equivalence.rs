@@ -127,7 +127,7 @@ proptest! {
         let reference = VoteMap::evaluate_masked(&dep, &ms, plane, grid.clone(), &mask);
         let engine = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx));
         let lazy = engine.evaluate_masked(&ms, &mask);
-        engine.build_table();
+        engine.prebuild();
         let tabled = engine.evaluate_masked(&ms, &mask);
         prop_assert_eq!(bits(reference.values()), bits(lazy.values()));
         prop_assert_eq!(bits(reference.values()), bits(tabled.values()));
@@ -136,7 +136,7 @@ proptest! {
     /// The f32 engine's accuracy contract over random deployments, grids,
     /// and measurement subsets: every cell's vote differs from the f64
     /// kernel by at most the *derived* worst-case bound
-    /// ([`VoteEngine::f32_vote_error_bound`]), and the argmax cell is
+    /// ([`VoteEngine::vote_error_bound`]), and the argmax cell is
     /// provably identical whenever the f64 best/runner-up gap exceeds
     /// twice that bound. When the gap is smaller than the guarantee the
     /// f32 pick must still be within `2·bound` of the f64 optimum.
@@ -167,7 +167,7 @@ proptest! {
         let mut engine32 = VoteEngine::for_deployment(&dep, plane, grid, parallelism(par_idx));
         engine32.set_precision(TablePrecision::F32);
 
-        let bound = engine64.f32_vote_error_bound(&ms);
+        let bound = engine64.vote_error_bound(&ms, TablePrecision::F32);
         let m64 = engine64.evaluate(&ms);
         let m32 = engine32.evaluate(&ms);
 
@@ -257,7 +257,7 @@ proptest! {
             })
             .collect();
         let lazy = engine.evaluate_masked(&ms, &mask);
-        engine.build_table_f32();
+        engine.prebuild();
         let tabled = engine.evaluate_masked(&ms, &mask);
         prop_assert_eq!(bits(lazy.values()), bits(tabled.values()));
         for (c, (&got, &all)) in lazy.values().iter().zip(full.values()).enumerate() {
@@ -447,6 +447,136 @@ proptest! {
                 prop_assert_eq!(win.to_bits(), all.to_bits(), "cell {}", c);
             } else {
                 prop_assert_eq!(win, f64::NEG_INFINITY, "cell {}", c);
+            }
+        }
+    }
+}
+
+/// One xorshift64 step, as a float in `[0, 1)`.
+fn next_unit(state: &mut u64) -> f64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    (*state >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// FNV-1a over the bit patterns of a map's values: a fingerprint that
+/// changes if any cell changes in any bit, `-inf` cells included.
+fn fingerprint(values: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A fixed seeded scene for the golden fingerprints: the paper
+/// deployment, a seeded plane depth, region, resolution and tag, noisy
+/// measurements on a seeded pair subset, a seeded window around the tag,
+/// and a seeded mask of density ~1/3. Seeds 1 and 2 are sized past one
+/// accumulator tile (4096 cells) so tile boundaries are covered.
+#[allow(clippy::type_complexity)]
+fn golden_scene(
+    seed: u64,
+) -> (Deployment, Plane, Grid2, Vec<PairMeasurement>, GridWindow, Vec<bool>) {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let dep = Deployment::paper_default();
+    let plane = Plane::at_depth(1.5 + 2.0 * next_unit(&mut state));
+    let (w, h, res) = match seed {
+        1 => (1.7, 1.3, 0.02),
+        2 => (1.1, 0.7, 0.013),
+        _ => (2.6, 1.9, 0.045),
+    };
+    let x0 = -0.3 + 0.6 * next_unit(&mut state);
+    let z0 = -0.2 + 0.5 * next_unit(&mut state);
+    let grid = Grid2::new(Rect::new(Point2::new(x0, z0), Point2::new(x0 + w, z0 + h)), res);
+    let tag = Point2::new(
+        x0 + (0.2 + 0.6 * next_unit(&mut state)) * w,
+        z0 + (0.2 + 0.6 * next_unit(&mut state)) * h,
+    );
+    let ms: Vec<PairMeasurement> = ideal_measurements(&dep, dep.all_pairs(), plane.lift(tag))
+        .into_iter()
+        .filter_map(|m| {
+            let keep = next_unit(&mut state) < 0.8;
+            let noise = 0.4 * (next_unit(&mut state) - 0.5);
+            keep.then(|| PairMeasurement::new(m.pair, m.delta_phi + noise))
+        })
+        .collect();
+    let window = GridWindow::around(&grid, tag, 0.1 + 0.3 * next_unit(&mut state));
+    let mask: Vec<bool> = (0..grid.len()).map(|_| next_unit(&mut state) < 0.33).collect();
+    (dep, plane, grid, ms, window, mask)
+}
+
+/// Golden fingerprints of every evaluation path at every precision, one
+/// row per (scene seed, precision): full map, windowed map, masked map
+/// with the table built, masked map computed lazily. Recorded with the
+/// engine's earlier per-precision kernels, so they pin each precision's
+/// output across refactors of the sweep. Each value must hold under both
+/// [`SimdMode`]s and both execution policies below — bit-identity across
+/// those is the engine's contract, so one fingerprint covers all four
+/// combinations.
+const GOLDEN: [(u64, TablePrecision, [u64; 4]); 12] = [
+    (1, TablePrecision::F64, [
+        0x60536c3361b3bee8, 0xda443e5a391becde, 0x31d051c4e5e94d44, 0x31d051c4e5e94d44,
+    ]),
+    (1, TablePrecision::F32, [
+        0xf8e6a96fde888ceb, 0xac39e9a644ce1227, 0xf93bd6605a5561cb, 0xf93bd6605a5561cb,
+    ]),
+    (1, TablePrecision::I16, [
+        0x5143d627cce2a58e, 0x6a3479d64e8f4e7b, 0x3986fbe9b7c64e7d, 0x3986fbe9b7c64e7d,
+    ]),
+    (1, TablePrecision::I8, [
+        0x49a1b9ba97d82e0d, 0x52f32594483f654c, 0xe6f1084f4eacd5bc, 0xe6f1084f4eacd5bc,
+    ]),
+    (2, TablePrecision::F64, [
+        0x674c3ec350107ccd, 0x57bbc34d25ecc0da, 0x9573a478f1b57ee4, 0x9573a478f1b57ee4,
+    ]),
+    (2, TablePrecision::F32, [
+        0xfcd9ad1ec10699bc, 0xda8f0be379ff5828, 0xab29ad148f9b68cd, 0xab29ad148f9b68cd,
+    ]),
+    (2, TablePrecision::I16, [
+        0x7793adc0bd3ee314, 0x4db226338bb97214, 0x5985f4c51a9fdd1a, 0x5985f4c51a9fdd1a,
+    ]),
+    (2, TablePrecision::I8, [
+        0xbfb80bb26e8952d7, 0x472a2dcdc9ab15dc, 0xc6e852bf694bc2b9, 0xc6e852bf694bc2b9,
+    ]),
+    (3, TablePrecision::F64, [
+        0x10473734867c0eda, 0x69f20a3e462aeb5c, 0x766a88f7ecbb03bd, 0x766a88f7ecbb03bd,
+    ]),
+    (3, TablePrecision::F32, [
+        0xff8d0885e6f608e7, 0xe1f77325b714118f, 0x7f9604e482719655, 0x7f9604e482719655,
+    ]),
+    (3, TablePrecision::I16, [
+        0x1060a07dbc9b2fb9, 0x69136c132299f2fc, 0x6a35139c34715322, 0x6a35139c34715322,
+    ]),
+    (3, TablePrecision::I8, [
+        0xfed273ea970aaca6, 0xe10253c5cbd1bd92, 0x69a4f27bedf94fa0, 0x69a4f27bedf94fa0,
+    ]),
+];
+
+#[test]
+fn golden_fingerprints_hold_for_every_precision_path_simd_and_parallelism() {
+    for (seed, precision, expected) in GOLDEN {
+        let (dep, plane, grid, ms, window, mask) = golden_scene(seed);
+        for simd in [SimdMode::Auto, SimdMode::Scalar] {
+            for par in [Parallelism::Serial, Parallelism::Threads(3)] {
+                let mut engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), par);
+                engine.set_precision(precision);
+                engine.set_simd_mode(simd);
+                assert!(!engine.is_table_built());
+                let lazy = fingerprint(engine.evaluate_masked(&ms, &mask).values());
+                engine.prebuild();
+                let tabled = fingerprint(engine.evaluate_masked(&ms, &mask).values());
+                let full = fingerprint(engine.evaluate(&ms).values());
+                let windowed = fingerprint(engine.evaluate_windowed(&ms, &window).values());
+                assert_eq!(
+                    [full, windowed, tabled, lazy],
+                    expected,
+                    "seed {seed} {precision:?} {simd:?} {par:?}: [full, windowed, masked, lazy]"
+                );
             }
         }
     }

@@ -128,6 +128,12 @@ impl Default for ReactorConfig {
 /// Live counters shared between the reactor thread and observers.
 /// Everything is monotonic except `open` and `parked` (gauges). In
 /// multi-reactor mode one block is shared by all reactors.
+///
+/// `open`, `parked` and `closed` move only after the handler has booked
+/// the change they report: a close is counted after `on_close` returns,
+/// and a park or unpark after the handler emitted it. They are updated
+/// with `Release` ordering, so an observer that loads one with `Acquire`
+/// and sees it move also sees the handler's books for that change.
 #[derive(Debug, Default)]
 pub struct ReactorStats {
     /// Connections accepted.
@@ -895,7 +901,7 @@ impl<H: Handler> Reactor<H> {
                         continue;
                     }
                     conn.parked = true;
-                    self.stats.parked.fetch_add(1, Ordering::Relaxed);
+                    self.stats.parked.fetch_add(1, Ordering::Release);
                     self.sync_interest(id.0, &mut queue);
                 }
                 Op::Unpark(id) => {
@@ -904,7 +910,7 @@ impl<H: Handler> Reactor<H> {
                         continue;
                     }
                     conn.parked = false;
-                    self.stats.parked.fetch_sub(1, Ordering::Relaxed);
+                    self.stats.parked.fetch_sub(1, Ordering::Release);
                     self.sync_interest(id.0, &mut queue);
                     // Frames decoded before the park have been waiting;
                     // dispatch them now, ahead of anything still in the
@@ -915,20 +921,24 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
-    /// Tears one connection down: deregister, drop (closes the fd),
-    /// notify the handler.
+    /// Tears one connection down: deregister, notify the handler, drop
+    /// (closes the fd), and only then release the gauges. The handler's
+    /// close-time books (for example a discarded parking stash) are
+    /// therefore final before any observer can see `parked` or `open`
+    /// drop; the `Release` decrements let an `Acquire` reader of a gauge
+    /// rely on that.
     fn remove_conn(&mut self, token: u64, midframe: bool, queue: &mut VecDeque<Op>) {
         let Some(conn) = self.conns.remove(&token) else { return };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        if conn.parked {
-            self.stats.parked.fetch_sub(1, Ordering::Relaxed);
-        }
-        drop(conn);
-        self.stats.closed.fetch_add(1, Ordering::Relaxed);
-        self.stats.open.fetch_sub(1, Ordering::Relaxed);
         let mut out = Outbox::default();
         self.handler.on_close(ConnId(token), midframe, &mut out);
         queue.extend(out.ops);
+        if conn.parked {
+            self.stats.parked.fetch_sub(1, Ordering::Release);
+        }
+        drop(conn);
+        self.stats.closed.fetch_add(1, Ordering::Release);
+        self.stats.open.fetch_sub(1, Ordering::Release);
     }
 
     /// The graceful-shutdown sequence (see the module docs).

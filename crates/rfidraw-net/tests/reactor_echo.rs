@@ -4,12 +4,12 @@
 
 use rfidraw_net::{
     encode_binary_frame, spawn, ConnId, FrameError, Handler, Outbox, PollerKind, RawFrame,
-    ReactorConfig, ReactorHandle, WireMode,
+    ReactorConfig, ReactorHandle, ReactorStats, WireMode,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Echoes every frame back in the connection's own mode; on shutdown,
@@ -242,4 +242,75 @@ fn max_connections_rejects_overflow() {
         "rejected counter",
     );
     assert_eq!(handle.stats().accepted.load(Ordering::SeqCst), 1);
+}
+
+/// Parks a connection on its first frame and, on every close, records
+/// the `parked` and `open` gauges as the reactor shows them at that moment.
+struct GaugeProbe {
+    stats: Arc<OnceLock<Arc<ReactorStats>>>,
+    seen_at_close: Arc<Mutex<Vec<(u64, u64)>>>,
+}
+
+impl Handler for GaugeProbe {
+    fn on_open(&mut self, _conn: ConnId, _out: &mut Outbox) {}
+
+    fn on_frame(&mut self, conn: ConnId, frame: RawFrame, _mode: WireMode, out: &mut Outbox) {
+        if frame == RawFrame::Json("{\"park\":1}".to_string()) {
+            out.park(conn);
+        }
+    }
+
+    fn on_frame_error(&mut self, _conn: ConnId, _err: FrameError, _out: &mut Outbox) {}
+
+    fn on_close(&mut self, _conn: ConnId, _midframe: bool, _out: &mut Outbox) {
+        let stats = self.stats.get().expect("stats installed before any connection");
+        let gauges = (stats.parked.load(Ordering::SeqCst), stats.open.load(Ordering::SeqCst));
+        self.seen_at_close.lock().unwrap().push(gauges);
+    }
+
+    fn on_tick(&mut self, _out: &mut Outbox) {}
+
+    fn on_shutdown(&mut self, _out: &mut Outbox) {}
+}
+
+/// The teardown-ordering contract: `on_close` runs while the gauges still
+/// count the closing connection, so whatever the handler books at close
+/// is final by the time an observer sees `parked` or `open` drop.
+/// (Dropping the gauges first let a test that waited for `parked == 0`
+/// read telemetry before the handler had booked the abandoned stash.)
+/// Covers both teardown paths: a peer close of an unparked connection
+/// while another is parked, then shutdown closing the parked one.
+#[test]
+fn on_close_runs_before_the_gauges_drop() {
+    both_backends(|kind| {
+        let stats_slot = Arc::new(OnceLock::new());
+        let seen_at_close = Arc::new(Mutex::new(Vec::new()));
+        let probe = GaugeProbe {
+            stats: Arc::clone(&stats_slot),
+            seen_at_close: Arc::clone(&seen_at_close),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let config = ReactorConfig { poller: kind, ..ReactorConfig::default() };
+        let mut handle = spawn(listener, config, probe).expect("spawn reactor");
+        let stats = handle.stats();
+        stats_slot.set(Arc::clone(&stats)).expect("installed once");
+
+        let mut parked = TcpStream::connect(handle.local_addr()).expect("connect parked");
+        parked.write_all(b"{\"park\":1}\n").expect("send");
+        wait_until(|| stats.parked.load(Ordering::SeqCst) == 1, "the connection to park");
+        let peer = TcpStream::connect(handle.local_addr()).expect("connect peer");
+        wait_until(|| stats.open.load(Ordering::SeqCst) == 2, "the second connection");
+        drop(peer);
+        wait_until(|| stats.closed.load(Ordering::SeqCst) == 1, "the peer close");
+        handle.shutdown().expect("graceful shutdown");
+
+        assert_eq!(
+            *seen_at_close.lock().unwrap(),
+            vec![(1, 2), (1, 1)],
+            "on_close must see (parked, open) still counting the closing connection"
+        );
+        assert_eq!(stats.parked.load(Ordering::SeqCst), 0);
+        assert_eq!(stats.open.load(Ordering::SeqCst), 0);
+        drop(parked);
+    });
 }

@@ -125,7 +125,7 @@ fn blocked_session_does_not_stall_other_connections() {
         .send(&Message::Ingest(IngestBatch { epc: epc_a, reads: synthetic_reads(12, 0.0) }))
         .unwrap();
     assert!(
-        wait_until(Duration::from_secs(5), || stats.parked.load(Ordering::Relaxed) == 1),
+        wait_until(Duration::from_secs(5), || stats.parked.load(Ordering::Acquire) == 1),
         "connection A must end up parked, not block the reactor"
     );
 
@@ -275,7 +275,7 @@ fn parked_connection_closed_mid_park_keeps_conservation_exact() {
     let mut conn = WireClient::connect(server.local_addr()).unwrap();
     conn.send(&Message::Ingest(IngestBatch { epc, reads: synthetic_reads(12, 0.0) })).unwrap();
     assert!(
-        wait_until(Duration::from_secs(5), || stats.parked.load(Ordering::Relaxed) == 1),
+        wait_until(Duration::from_secs(5), || stats.parked.load(Ordering::Acquire) == 1),
         "the connection must park first"
     );
 
@@ -284,7 +284,7 @@ fn parked_connection_closed_mid_park_keeps_conservation_exact() {
     // read interest.
     drop(conn);
     assert!(
-        wait_until(Duration::from_secs(5), || stats.parked.load(Ordering::Relaxed) == 0),
+        wait_until(Duration::from_secs(5), || stats.parked.load(Ordering::Acquire) == 0),
         "a dead parked connection must be torn down"
     );
 
@@ -320,7 +320,7 @@ fn session_closed_mid_park_rejects_the_stash_and_releases_the_ack() {
     let mut conn = WireClient::connect(server.local_addr()).unwrap();
     conn.send(&Message::Ingest(IngestBatch { epc, reads: synthetic_reads(12, 0.0) })).unwrap();
     assert!(
-        wait_until(Duration::from_secs(5), || stats.parked.load(Ordering::Relaxed) == 1),
+        wait_until(Duration::from_secs(5), || stats.parked.load(Ordering::Acquire) == 1),
         "the connection must park first"
     );
 
@@ -334,7 +334,7 @@ fn session_closed_mid_park_rejects_the_stash_and_releases_the_ack() {
     assert_eq!(ack.rejected, 8, "the stash was rejected against the closed session");
 
     assert!(
-        wait_until(Duration::from_secs(5), || stats.parked.load(Ordering::Relaxed) == 0),
+        wait_until(Duration::from_secs(5), || stats.parked.load(Ordering::Acquire) == 0),
         "the close must unpark the connection"
     );
     let report = service.telemetry();

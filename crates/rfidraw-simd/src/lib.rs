@@ -211,9 +211,9 @@ fn sweep_i16_scalar(acc: &mut [f32], column: &[i16], measured: i16) {
 /// `(col_b, mb)` — per cell the accumulator still receives the fused
 /// `a − d²` terms in that order — but the accumulator tile is loaded
 /// and stored once instead of twice, which matters in a kernel this
-/// short. The engine's full-grid sweep feeds measurement pairs through
-/// here; windowed and masked paths keep the single-column form and
-/// still match bit-for-bit.
+/// short. The engine's contiguous-run sweeps (full grids and window
+/// rows) feed measurement pairs through here; its masked gather path
+/// uses the scalar per-cell form and still matches bit-for-bit.
 ///
 /// # Panics
 /// Panics if the three slice lengths differ.

@@ -106,23 +106,24 @@ awk -v nproc="$(nproc 2>/dev/null || echo 1)" '
                 medians["engine_1cm_i16"] / medians["engine_1cm_i16_windowed"]
             sep = ",\n"
         }
-        # serve_ingest benches push their named read count per iteration;
-        # the 8-session variant is the paper-style multi-tag load, the
-        # 1k/10k variants are the serving-at-scale points.
-        if ("serve_ingest_4096_reads_8_sessions" in medians) {
-            ns = medians["serve_ingest_4096_reads_8_sessions"]
-            printf "%s    \"serve_reads_per_sec_8_sessions\": %.0f", sep, 4096 * 1e9 / ns
+        # serve_queue benches push their named read count per iteration
+        # through routing, queueing and drain only (their reads never reach
+        # a tracker); the 8-session variant is the paper-style multi-tag
+        # load, the 1k/10k variants are the serving-at-scale points.
+        if ("serve_queue_4096_reads_8_sessions" in medians) {
+            ns = medians["serve_queue_4096_reads_8_sessions"]
+            printf "%s    \"serve_queue_reads_per_sec_8_sessions\": %.0f", sep, 4096 * 1e9 / ns
             sep = ",\n"
-            printf "%s    \"serve_session_drains_per_sec\": %.0f", sep, 8 * 1e9 / ns
+            printf "%s    \"serve_queue_session_drains_per_sec\": %.0f", sep, 8 * 1e9 / ns
         }
-        if ("serve_ingest_4096_reads_1024_sessions" in medians) {
-            printf "%s    \"serve_reads_per_sec_1024_sessions\": %.0f", sep, \
-                4096 * 1e9 / medians["serve_ingest_4096_reads_1024_sessions"]
+        if ("serve_queue_4096_reads_1024_sessions" in medians) {
+            printf "%s    \"serve_queue_reads_per_sec_1024_sessions\": %.0f", sep, \
+                4096 * 1e9 / medians["serve_queue_4096_reads_1024_sessions"]
             sep = ",\n"
         }
-        if ("serve_ingest_10240_reads_10240_sessions" in medians) {
-            printf "%s    \"serve_reads_per_sec_10240_sessions\": %.0f", sep, \
-                10240 * 1e9 / medians["serve_ingest_10240_reads_10240_sessions"]
+        if ("serve_queue_10240_reads_10240_sessions" in medians) {
+            printf "%s    \"serve_queue_reads_per_sec_10240_sessions\": %.0f", sep, \
+                10240 * 1e9 / medians["serve_queue_10240_reads_10240_sessions"]
             sep = ",\n"
         }
         # Wire-framing comparison at 64 sessions: the CI gate requires the
