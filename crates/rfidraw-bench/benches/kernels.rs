@@ -476,13 +476,13 @@ fn bench_serve_multi_reactor(c: &mut Criterion) {
     }
 }
 
-/// Instrumented-vs-uninstrumented vote-engine throughput. On the default
-/// build the emit sites don't exist, so `engine_1cm_trace_off` IS the
-/// uninstrumented kernel; with `--features trace` the same name measures
-/// the compiled-but-unarmed cost (sink = `None`, the "<3% when disabled"
-/// budget that `trace_overhead` gates in CI) and two extra benches
-/// measure a live recorder at full and 1-in-64 sampling.
+/// Vote-engine throughput with tracing off (no sink: each emit site is one
+/// `Option` branch) and with a live recorder at full and 1-in-64
+/// sampling. The `trace_overhead` binary gates the recorder's cost in CI.
 fn bench_trace_overhead(c: &mut Criterion) {
+    use rfidraw::core::obs::SharedSink;
+    use rfidraw::metrics::{TraceRecorder, TraceSettings};
+    use std::sync::Arc;
     let dep = Deployment::paper_default();
     let plane = Plane::at_depth(2.0);
     let tag = plane.lift(Point2::new(1.2, 0.9));
@@ -495,26 +495,21 @@ fn bench_trace_overhead(c: &mut Criterion) {
         b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
     });
 
-    #[cfg(feature = "trace")]
+    for (name, sample_every) in
+        [("engine_1cm_trace_recorder", 1u32), ("engine_1cm_trace_sampled_64", 64)]
     {
-        use rfidraw::metrics::{TraceRecorder, TraceSettings};
-        use std::sync::Arc;
-        for (name, sample_every) in
-            [("engine_1cm_trace_recorder", 1u32), ("engine_1cm_trace_sampled_64", 64)]
-        {
-            let rec = Arc::new(TraceRecorder::new(TraceSettings {
-                sample_every,
-                ..TraceSettings::default()
-            }));
-            let sink: rfidraw::core::obs::SharedSink = Arc::clone(&rec) as _;
-            let mut engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
-            engine.set_trace_sink(Some(sink), 1);
-            engine.prebuild();
-            c.bench_function(name, |b| {
-                b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
-            });
-            black_box(rec.events_seen());
-        }
+        let rec = Arc::new(TraceRecorder::new(TraceSettings {
+            sample_every,
+            ..TraceSettings::default()
+        }));
+        let sink: SharedSink = Arc::clone(&rec) as _;
+        let mut engine = VoteEngine::for_deployment(&dep, plane, grid.clone(), Parallelism::Serial);
+        engine.set_trace_sink(Some(sink), 1);
+        engine.prebuild();
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(engine.evaluate(black_box(&ms)).argmax()))
+        });
+        black_box(rec.events_seen());
     }
 }
 

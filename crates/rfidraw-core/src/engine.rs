@@ -100,7 +100,6 @@ use crate::array::{AntennaPair, Deployment};
 use crate::exec::Parallelism;
 use crate::geom::{Plane, Point3};
 use crate::grid::{Grid2, GridWindow, VoteMap};
-#[cfg(feature = "trace")]
 use crate::obs::{self, SharedSink, Stage};
 use crate::phase::{
     frac_dist_to_integer, frac_dist_to_integer_f32, quantize_turns_i16, quantize_turns_i8,
@@ -474,9 +473,7 @@ pub struct VoteEngine {
     /// Which accumulation kernels the f32/quantized sweeps may use.
     /// Results are bit-identical either way; `Auto` unless pinned.
     simd: SimdMode,
-    #[cfg(feature = "trace")]
     sink: Option<SharedSink>,
-    #[cfg(feature = "trace")]
     session: u64,
 }
 
@@ -519,9 +516,7 @@ impl VoteEngine {
             slots: TableSlots::default(),
             precision: TablePrecision::default(),
             simd: SimdMode::Auto,
-            #[cfg(feature = "trace")]
             sink: None,
-            #[cfg(feature = "trace")]
             session: 0,
         }
     }
@@ -601,7 +596,6 @@ impl VoteEngine {
     /// Installs (or removes) a trace sink; evaluation spans and per-shard
     /// timings are emitted to it tagged with `session`. Observability only:
     /// never changes any computed value (see [`crate::obs`]).
-    #[cfg(feature = "trace")]
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>, session: u64) {
         self.sink = sink;
         self.session = session;
@@ -675,7 +669,6 @@ impl VoteEngine {
     /// pays only that table's bytes.
     pub(crate) fn table<K: Kernel>(&self) -> &[K] {
         K::slot(&self.slots).get_or_init(|| {
-            #[cfg(feature = "trace")]
             let _span =
                 obs::SpanTimer::start(self.sink.as_ref(), self.session, Stage::EngineTable, 0.0);
             let n_cells = self.grid.len();
@@ -772,7 +765,6 @@ impl VoteEngine {
     ) -> VoteMap {
         let cols = self.columns::<K>(measurements);
         let table = self.table::<K>();
-        #[cfg(feature = "trace")]
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
@@ -782,7 +774,6 @@ impl VoteEngine {
         let Some(window) = window else {
             let mut values = vec![0.0; self.grid.len()];
             self.parallelism.run_row_sharded(&mut values, 1, |first, shard| {
-                #[cfg(feature = "trace")]
                 let _shard_span = obs::SpanTimer::start(
                     self.sink.as_ref(),
                     self.session,
@@ -833,7 +824,6 @@ impl VoteEngine {
     fn evaluate_kept<K: Kernel>(&self, measurements: &[PairMeasurement], mask: &[bool]) -> VoteMap {
         let cols = self.columns::<K>(measurements);
         let table = K::slot(&self.slots).get();
-        #[cfg(feature = "trace")]
         let _span = obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
@@ -843,7 +833,6 @@ impl VoteEngine {
         let kept: Vec<usize> = (0..self.grid.len()).filter(|&c| mask[c]).collect();
         let mut acc = vec![K::Acc::default(); kept.len()];
         self.parallelism.run_row_sharded(&mut acc, 1, |first, shard| {
-            #[cfg(feature = "trace")]
             let _shard_span = obs::SpanTimer::start(
                 self.sink.as_ref(),
                 self.session,

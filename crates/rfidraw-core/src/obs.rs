@@ -9,13 +9,14 @@
 //! ring-buffer recorder and flight recorder live in
 //! `rfidraw-metrics::trace`; this crate only emits.
 //!
-//! ## Zero cost when disabled
+//! ## One runtime branch per site when disabled
 //!
-//! The types here are always compiled (so downstream crates can implement
-//! [`TraceSink`] unconditionally), but every *emit site* in the hot path is
-//! gated behind the `trace` cargo feature. Without the feature the
-//! instrumented structs do not even carry a sink field; with the feature but
-//! no sink installed, each site costs one `Option` branch. Either way the
+//! Every emit site is always compiled; there is one build. Each
+//! instrumented struct holds an `Option<SharedSink>`, and each site goes
+//! through [`emit`] or [`SpanTimer::start`], which do nothing (not even a
+//! clock read) when the sink is `None`. So with no sink installed a site
+//! costs one `Option` branch. Sites fire at most once per read,
+//! evaluation, shard or tick, never once per grid cell. Either way the
 //! positions computed are bit-identical: instrumentation only observes, it
 //! never participates in the arithmetic.
 //!

@@ -20,7 +20,6 @@
 
 use crate::array::{AntennaId, AntennaPair, Deployment};
 use crate::geom::{Plane, Point2};
-#[cfg(feature = "trace")]
 use crate::obs::{self, Stage, TraceKind};
 use crate::phase::{unwrap_step, wrap_pi, wrap_tau};
 use crate::position::{Candidate, MultiResConfig, MultiResPositioner};
@@ -243,16 +242,12 @@ pub struct OnlineTracker {
     /// How many acquisitions ran window-restricted (never reset; a
     /// telemetry counter).
     windowed_evals: u64,
-    #[cfg(feature = "trace")]
     sink: Option<crate::obs::SharedSink>,
-    #[cfg(feature = "trace")]
     session: u64,
     /// Best candidate after the previous tick, for vote-flip detection.
-    #[cfg(feature = "trace")]
     last_best: Option<usize>,
     /// Whether acquisition has ever completed — distinguishes the first
     /// lobe lock from a re-lock after a stale reset.
-    #[cfg(feature = "trace")]
     had_acquired: bool,
 }
 
@@ -312,13 +307,9 @@ impl OnlineTracker {
             first_read_t: None,
             window_hint: None,
             windowed_evals: 0,
-            #[cfg(feature = "trace")]
             sink: None,
-            #[cfg(feature = "trace")]
             session: 0,
-            #[cfg(feature = "trace")]
             last_best: None,
-            #[cfg(feature = "trace")]
             had_acquired: false,
         }
     }
@@ -327,7 +318,6 @@ impl OnlineTracker {
     /// positioner, its engines, and the tracer), tagging all events with
     /// `session`. Observability only — tracked positions are bit-identical
     /// with or without a sink (see [`crate::obs`]).
-    #[cfg(feature = "trace")]
     pub fn set_trace_sink(&mut self, sink: Option<crate::obs::SharedSink>, session: u64) {
         self.positioner.set_trace_sink(sink.clone(), session);
         self.tracer.set_trace_sink(sink.clone(), session);
@@ -359,12 +349,9 @@ impl OnlineTracker {
         // A stale unwrap cannot vouch for the tag's last position, so the
         // next acquisition is full-grid even with windowing enabled.
         self.window_hint = None;
-        #[cfg(feature = "trace")]
-        {
-            // A best-candidate change across a reset is re-acquisition, not
-            // a vote flip.
-            self.last_best = None;
-        }
+        // A best-candidate change across a reset is re-acquisition, not a
+        // vote flip.
+        self.last_best = None;
     }
 
     /// Drops the candidate traces (forcing the next snapshot to
@@ -379,10 +366,7 @@ impl OnlineTracker {
     pub fn reacquire(&mut self) {
         self.traces.clear();
         self.ticks_done = 0;
-        #[cfg(feature = "trace")]
-        {
-            self.last_best = None;
-        }
+        self.last_best = None;
     }
 
     /// How many acquisitions ran window-restricted so far (monotonic, not
@@ -520,7 +504,6 @@ impl OnlineTracker {
                 let gap = read.t - last;
                 let was_degraded = self.is_degraded();
                 self.reset();
-                #[cfg(feature = "trace")]
                 obs::emit(
                     self.sink.as_ref(),
                     self.session,
@@ -533,6 +516,14 @@ impl OnlineTracker {
                 if was_degraded {
                     // The reset re-admitted every antenna; close out the
                     // degradation episode for subscribers.
+                    obs::emit(
+                        self.sink.as_ref(),
+                        self.session,
+                        Stage::Degraded,
+                        TraceKind::Anomaly,
+                        0.0,
+                        read.t,
+                    );
                     events.push(OnlineEvent::Degraded {
                         missing_pairs: Vec::new(),
                     });
@@ -571,7 +562,6 @@ impl OnlineTracker {
             // An unwrap step near ±π is at the ambiguity horizon: one more
             // radian of motion between reads and the unwrap would pick the
             // wrong branch. Worth surfacing before it corrupts the trace.
-            #[cfg(feature = "trace")]
             if let Some((_, prev_phase)) = state.last {
                 let step = (unwrapped - prev_phase).abs();
                 if step > 0.9 * std::f64::consts::PI {
@@ -697,7 +687,6 @@ impl OnlineTracker {
             self.next_tick = None;
         }
         let missing = self.missing_pairs();
-        #[cfg(feature = "trace")]
         obs::emit(
             self.sink.as_ref(),
             self.session,
@@ -754,25 +743,21 @@ impl OnlineTracker {
         let mut events = Vec::new();
         if self.traces.is_empty() {
             // Acquisition on the first snapshot.
-            #[cfg(feature = "trace")]
             let lock_stage = if self.had_acquired { Stage::LobeRelock } else { Stage::LobeLock };
             // The span timer must not borrow `self.sink` directly: it lives
             // across `acquire_candidates(&mut self)` below. Cloning the Arc'd
             // sink handle keeps the timing identical and the borrow local.
-            #[cfg(feature = "trace")]
-            let _acq_sink = self.sink.clone();
-            #[cfg(feature = "trace")]
+            let acq_sink = self.sink.clone();
             let _acq_span =
-                obs::SpanTimer::start(_acq_sink.as_ref(), self.session, Stage::Acquire, 0.0);
+                obs::SpanTimer::start(acq_sink.as_ref(), self.session, Stage::Acquire, 0.0);
             // A degraded snapshot can fall below the positioning floor (no
             // coarse or no wide measurement at all); skip and retry on the
             // next tick rather than acquire from an under-constrained vote.
             let Some(candidates): Option<Vec<Candidate>> = self.acquire_candidates(&snap) else {
                 return events;
             };
-            for (_ci, c) in candidates.iter().enumerate() {
+            for (ci, c) in candidates.iter().enumerate() {
                 let locked = self.tracer.try_lock_lobes(&snap, c.position);
-                #[cfg(feature = "trace")]
                 for &(_, k) in &locked {
                     obs::emit(
                         self.sink.as_ref(),
@@ -780,7 +765,7 @@ impl OnlineTracker {
                         lock_stage,
                         TraceKind::Instant,
                         k as f64,
-                        _ci as f64,
+                        ci as f64,
                     );
                 }
                 self.traces.push(CandidateTrace {
@@ -790,11 +775,8 @@ impl OnlineTracker {
                     alive: true,
                 });
             }
-            #[cfg(feature = "trace")]
-            {
-                self.had_acquired = true;
-                self.last_best = self.best_index();
-            }
+            self.had_acquired = true;
+            self.last_best = self.best_index();
             events.push(OnlineEvent::Acquired {
                 candidates: self.traces.len(),
             });
@@ -824,7 +806,6 @@ impl OnlineTracker {
                 };
                 let k = self.tracer.lock_pair(wp, turns, at);
                 trace.locked.push((wp, k));
-                #[cfg(feature = "trace")]
                 obs::emit(
                     self.sink.as_ref(),
                     self.session,
@@ -873,35 +854,32 @@ impl OnlineTracker {
         // Per-tick vote masses and best-candidate identity: the §5.2
         // disambiguation signal. A vote flip means the trajectory the live
         // estimate follows just changed — an anomaly worth a flight dump.
-        #[cfg(feature = "trace")]
-        {
-            for (i, t) in self.traces.iter().enumerate() {
-                if t.alive {
-                    obs::emit(
-                        self.sink.as_ref(),
-                        self.session,
-                        Stage::CandidateVote,
-                        TraceKind::Instant,
-                        t.cumulative_vote,
-                        i as f64,
-                    );
-                }
+        for (i, t) in self.traces.iter().enumerate() {
+            if t.alive {
+                obs::emit(
+                    self.sink.as_ref(),
+                    self.session,
+                    Stage::CandidateVote,
+                    TraceKind::Instant,
+                    t.cumulative_vote,
+                    i as f64,
+                );
             }
-            let new_best = self.best_index();
-            if let (Some(nb), Some(ob)) = (new_best, self.last_best) {
-                if nb != ob {
-                    obs::emit(
-                        self.sink.as_ref(),
-                        self.session,
-                        Stage::VoteFlip,
-                        TraceKind::Anomaly,
-                        nb as f64,
-                        ob as f64,
-                    );
-                }
-            }
-            self.last_best = new_best;
         }
+        let new_best = self.best_index();
+        if let (Some(nb), Some(ob)) = (new_best, self.last_best) {
+            if nb != ob {
+                obs::emit(
+                    self.sink.as_ref(),
+                    self.session,
+                    Stage::VoteFlip,
+                    TraceKind::Anomaly,
+                    nb as f64,
+                    ob as f64,
+                );
+            }
+        }
+        self.last_best = new_best;
 
         if let Some(pos) = self.current_estimate() {
             self.window_hint = Some(pos);

@@ -18,7 +18,6 @@ use crate::engine::{TablePrecision, VoteEngine};
 use crate::exec::Parallelism;
 use crate::geom::{Plane, Point2, Rect};
 use crate::grid::{Grid2, GridWindow, VoteMap};
-#[cfg(feature = "trace")]
 use crate::obs::{self, SharedSink, Stage, TraceKind};
 use crate::vote::PairMeasurement;
 use serde::{Deserialize, Serialize};
@@ -134,9 +133,7 @@ pub struct MultiResPositioner {
     /// on-the-fly distances are cheaper than a full-grid table (see
     /// [`crate::engine`]).
     fine_engine: VoteEngine,
-    #[cfg(feature = "trace")]
     sink: Option<SharedSink>,
-    #[cfg(feature = "trace")]
     session: u64,
 }
 
@@ -170,9 +167,7 @@ impl MultiResPositioner {
             config,
             coarse_engine,
             fine_engine,
-            #[cfg(feature = "trace")]
             sink: None,
-            #[cfg(feature = "trace")]
             session: 0,
         }
     }
@@ -180,7 +175,6 @@ impl MultiResPositioner {
     /// Installs a trace sink on the positioner and both its engines
     /// (filter/peak outcome events plus evaluation spans). Observability
     /// only — never changes the candidates (see [`crate::obs`]).
-    #[cfg(feature = "trace")]
     pub fn set_trace_sink(&mut self, sink: Option<SharedSink>, session: u64) {
         self.coarse_engine.set_trace_sink(sink.clone(), session);
         self.fine_engine.set_trace_sink(sink.clone(), session);
@@ -351,7 +345,6 @@ impl MultiResPositioner {
                 coarse_mask[coarse_map.grid().flat(ix, iz)]
             })
             .collect();
-        #[cfg(feature = "trace")]
         obs::emit(
             self.sink.as_ref(),
             self.session,
@@ -374,7 +367,6 @@ impl MultiResPositioner {
             .into_iter()
             .map(|(position, vote)| Candidate { position, vote })
             .collect();
-        #[cfg(feature = "trace")]
         obs::emit(
             self.sink.as_ref(),
             self.session,

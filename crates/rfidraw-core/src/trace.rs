@@ -105,9 +105,7 @@ pub struct TrajectoryTracer {
     coarse_geom: Vec<(AntennaPair, crate::geom::Point3, crate::geom::Point3)>,
     /// `path_factor / λ`, the distance-difference-to-turns factor.
     turns_factor: f64,
-    #[cfg(feature = "trace")]
     sink: Option<crate::obs::SharedSink>,
-    #[cfg(feature = "trace")]
     session: u64,
 }
 
@@ -154,9 +152,7 @@ impl TrajectoryTracer {
             wide_geom,
             coarse_geom,
             turns_factor,
-            #[cfg(feature = "trace")]
             sink: None,
-            #[cfg(feature = "trace")]
             session: 0,
         }
     }
@@ -169,7 +165,6 @@ impl TrajectoryTracer {
     /// Installs a trace sink: batch-tracing spans and per-candidate vote
     /// masses are emitted to it tagged with `session`. Observability only —
     /// never changes a traced point (see [`crate::obs`]).
-    #[cfg(feature = "trace")]
     pub fn set_trace_sink(&mut self, sink: Option<crate::obs::SharedSink>, session: u64) {
         self.sink = sink;
         self.session = session;
@@ -356,7 +351,6 @@ impl TrajectoryTracer {
         // Candidates trace independently; the ordered map keeps the output
         // order (and therefore the winner tie-break below) identical to a
         // serial loop for every thread count.
-        #[cfg(feature = "trace")]
         let _span = crate::obs::SpanTimer::start(
             self.sink.as_ref(),
             self.session,
@@ -369,7 +363,6 @@ impl TrajectoryTracer {
             .map_ordered(candidates, |&c| self.trace_from(c, snapshots));
         // Per-candidate vote mass, emitted in candidate order from this
         // thread so the event sequence is deterministic.
-        #[cfg(feature = "trace")]
         for (i, t) in traces.iter().enumerate() {
             crate::obs::emit(
                 self.sink.as_ref(),

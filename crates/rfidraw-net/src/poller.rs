@@ -29,9 +29,12 @@ impl Interest {
     /// Write-only interest (a parked connection still flushing replies).
     pub const WRITE: Interest = Interest { readable: false, writable: true };
     /// No interest at all (a parked, fully flushed connection). The fd
-    /// stays registered: both backends still report error/hangup — `poll`
-    /// always surfaces `POLLERR`/`POLLHUP`, and the epoll mask keeps
-    /// `EPOLLRDHUP` — so a parked peer's disconnect is never missed.
+    /// stays registered and both backends still report error, hangup and
+    /// the peer's FIN: `poll` always surfaces `POLLERR`/`POLLHUP`, and on
+    /// Linux both the `poll` request and the epoll mask keep the read-hangup
+    /// bit (`POLLRDHUP`/`EPOLLRDHUP`), so a parked peer's close is never
+    /// missed there. Other platforms' `poll` has no such bit: a parked
+    /// peer's plain close surfaces only once read interest returns.
     pub const NONE: Interest = Interest { readable: false, writable: false };
 }
 
@@ -191,7 +194,8 @@ impl PollBackend {
         if self.dirty {
             self.fds.clear();
             for &(fd, _, interest) in &self.regs {
-                let mut ev = 0i16;
+                // Requested on every registration, like `EPOLLRDHUP`.
+                let mut ev = sys::POLLRDHUP;
                 if interest.readable {
                     ev |= sys::POLLIN;
                 }
@@ -214,9 +218,10 @@ impl PollBackend {
                 }
                 events.push(Event {
                     token,
-                    readable: r & (sys::POLLIN | sys::POLLERR | sys::POLLHUP) != 0,
+                    readable: r & (sys::POLLIN | sys::POLLERR | sys::POLLHUP | sys::POLLRDHUP)
+                        != 0,
                     writable: r & sys::POLLOUT != 0,
-                    closed: r & (sys::POLLERR | sys::POLLHUP) != 0,
+                    closed: r & (sys::POLLERR | sys::POLLHUP | sys::POLLRDHUP) != 0,
                 });
             }
         }

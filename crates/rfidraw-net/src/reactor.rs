@@ -31,9 +31,10 @@
 //! A **parked** connection (the handler's [`Outbox::park`]) keeps its fd
 //! registered but drops read interest and stops both socket reads and
 //! frame dispatch: bytes stay in the kernel buffer, TCP flow control
-//! backpressures the peer, and nothing is lost. Hangup conditions are
-//! still reported regardless of interest (see [`Interest::NONE`]), so a
-//! parked peer's disconnect tears the connection down normally. `Unpark`
+//! backpressures the peer, and nothing is lost. Hangup conditions (and,
+//! on Linux, the peer's FIN) are still reported regardless of interest
+//! (see [`Interest::NONE`]), so a parked peer's disconnect tears the
+//! connection down normally. `Unpark`
 //! restores read interest and immediately dispatches any frames that were
 //! already decoded before the park — arrival order is preserved exactly.
 //!

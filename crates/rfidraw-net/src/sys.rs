@@ -29,6 +29,14 @@ pub const POLLIN: i16 = 0x001;
 pub const POLLOUT: i16 = 0x004;
 pub const POLLERR: i16 = 0x008;
 pub const POLLHUP: i16 = 0x010;
+/// The peer shut down its write half (a FIN). Unlike `POLLHUP` it is only
+/// reported when requested, and it is how a registration without read
+/// interest hears a plain close. Linux only; elsewhere it is zero, so
+/// requesting and testing it are no-ops.
+#[cfg(target_os = "linux")]
+pub const POLLRDHUP: i16 = 0x2000;
+#[cfg(not(target_os = "linux"))]
+pub const POLLRDHUP: i16 = 0;
 
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: u64, timeout: CInt) -> CInt;

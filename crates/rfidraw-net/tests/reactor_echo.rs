@@ -7,7 +7,7 @@ use rfidraw_net::{
     ReactorConfig, ReactorHandle, ReactorStats, WireMode,
 };
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -312,5 +312,42 @@ fn on_close_runs_before_the_gauges_drop() {
         assert_eq!(stats.parked.load(Ordering::SeqCst), 0);
         assert_eq!(stats.open.load(Ordering::SeqCst), 0);
         drop(parked);
+    });
+}
+
+/// A parked connection has no read interest, yet its peer's plain close
+/// (a FIN from `shutdown(Write)`, not a reset) must still tear it down
+/// while the reactor runs, not only at shutdown: `poll` has to ask for
+/// `POLLRDHUP` just as the epoll mask keeps `EPOLLRDHUP`.
+#[cfg(target_os = "linux")]
+#[test]
+fn parked_peer_fin_closes_before_shutdown() {
+    both_backends(|kind| {
+        let stats_slot = Arc::new(OnceLock::new());
+        let seen_at_close = Arc::new(Mutex::new(Vec::new()));
+        let probe = GaugeProbe {
+            stats: Arc::clone(&stats_slot),
+            seen_at_close: Arc::clone(&seen_at_close),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let config = ReactorConfig { poller: kind, ..ReactorConfig::default() };
+        let mut handle = spawn(listener, config, probe).expect("spawn reactor");
+        let stats = handle.stats();
+        stats_slot.set(Arc::clone(&stats)).expect("installed once");
+
+        let mut parked = TcpStream::connect(handle.local_addr()).expect("connect parked");
+        parked.write_all(b"{\"park\":1}\n").expect("send");
+        wait_until(|| stats.parked.load(Ordering::SeqCst) == 1, "the connection to park");
+        parked.shutdown(Shutdown::Write).expect("half-close");
+        wait_until(|| stats.closed.load(Ordering::SeqCst) == 1, "the parked peer's FIN");
+        handle.shutdown().expect("graceful shutdown");
+
+        assert_eq!(
+            *seen_at_close.lock().unwrap(),
+            vec![(1, 1)],
+            "one close, from the FIN, seen while the connection still counted"
+        );
+        assert_eq!(stats.parked.load(Ordering::SeqCst), 0);
+        assert_eq!(stats.open.load(Ordering::SeqCst), 0);
     });
 }

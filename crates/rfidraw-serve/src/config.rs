@@ -218,9 +218,11 @@ pub struct ServeConfig {
     /// Optional cursor mode for every session.
     pub cursor: Option<CursorSetup>,
     /// Optional pipeline trace recorder (ring capacity, sampling, flight
-    /// recorder). `Some` always enables the serve-layer spans (queue wait,
-    /// compute, ingest anomalies); core hot-path events additionally
-    /// require building with the `trace` cargo feature.
+    /// recorder). `Some` enables the serve-layer spans (queue wait,
+    /// compute, ingest anomalies) and installs the recorder as every
+    /// session tracker's sink, so the core hot-path events (lobe locks,
+    /// vote mass, engine spans, stale resets, degradation) land in the
+    /// same ring. `None` leaves every emit site a single untaken branch.
     pub observability: Option<TraceSettings>,
 }
 

@@ -17,13 +17,14 @@
 //!
 //! With [`ServeConfig::observability`] set, the service owns a shared
 //! [`rfidraw_metrics::TraceRecorder`]: workers record queue-wait and
-//! compute spans per session, backpressure losses and stale resets become
+//! compute spans per session, backpressure losses and invalid reads become
 //! flight-recorder anomalies (each snapshotting the last N events into a
-//! retained [`rfidraw_metrics::TraceDump`]), and — when the crate is built
-//! with the `trace` cargo feature — every per-session tracker additionally
+//! retained [`rfidraw_metrics::TraceDump`]), and every per-session tracker
 //! emits core hot-path events (phase-unwrap breaches, lobe lock/relock,
-//! vote-map spans, candidate vote mass) into the same ring, tagged with
-//! the session id. The results surface three ways: per-stage latency
+//! stale resets, antenna degradation, vote-map spans, candidate vote mass)
+//! into the same ring, tagged with the session id. Without a recorder each
+//! of those emit sites is one `Option` branch; there is no separate
+//! instrumented build. The results surface three ways: per-stage latency
 //! histograms inside [`TelemetryReport`], a Prometheus text exposition
 //! ([`TelemetryReport::to_prometheus`], wire `MetricsRequest`), and raw
 //! dumps over the wire (`TraceQuery`/`TraceDump`). Instrumentation only

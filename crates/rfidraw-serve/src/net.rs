@@ -447,6 +447,14 @@ impl WireClient {
     /// Starts a subscription on this connection; the server then pushes
     /// [`Message::PositionUpdate`] frames, ending with
     /// [`Message::SessionClosed`]. Read them with [`WireClient::recv`].
+    ///
+    /// This only sends the frame; nothing is acknowledged. The server
+    /// registers the subscription when it gets round to reading this
+    /// connection, so positions published before then (say, from reads a
+    /// producer on another connection sent right after this call) are not
+    /// delivered. A caller that needs the whole stream waits until
+    /// [`crate::SessionView::subscribers`] shows the subscription before
+    /// starting its producers.
     pub fn subscribe(&mut self, epc: Epc) -> io::Result<()> {
         self.send(&Message::Subscribe(Subscribe { epc }))
     }

@@ -70,6 +70,10 @@ pub struct SessionView {
     pub current: Option<Point2>,
     /// Whether the tracker is running on a reduced antenna-pair set.
     pub degraded: bool,
+    /// Subscriptions registered on the session, in-process and wire alike
+    /// (see [`crate::WireClient::subscribe`] for why a wire client may
+    /// need to wait for this).
+    pub subscribers: usize,
 }
 
 struct ServiceInner {
@@ -100,12 +104,11 @@ impl ServiceInner {
             return Err(ServeError::ShuttingDown);
         }
         let built = self.registry.get_or_insert(epc, self.cfg.max_sessions, || {
-            #[allow(unused_mut)]
             let mut tracker = self.cfg.tracker.build();
-            // With the `trace` feature the per-session tracker emits core
-            // hot-path events (phase unwrap, lobe locking, vote flips)
-            // into the shared recorder, tagged with the session id.
-            #[cfg(feature = "trace")]
+            // The per-session tracker emits core hot-path events (phase
+            // unwrap, lobe locking, vote flips, stale resets, degradation)
+            // into the shared recorder, tagged with the session id. It is
+            // the only source of the StaleReset and Degraded anomalies.
             if let Some(rec) = &self.global.trace {
                 let sink: rfidraw_core::obs::SharedSink = Arc::clone(rec) as _;
                 tracker.set_trace_sink(Some(sink), crate::session::session_id(epc));
@@ -277,7 +280,16 @@ impl LocalClient {
         let trajectory = session.trajectory();
         let (tracking, alive_candidates, current) = session.tracker_state();
         let degraded = session.is_degraded();
-        Some(SessionView { epc, trajectory, tracking, alive_candidates, current, degraded })
+        let subscribers = session.subscriber_count();
+        Some(SessionView {
+            epc,
+            trajectory,
+            tracking,
+            alive_candidates,
+            current,
+            degraded,
+            subscribers,
+        })
     }
 
     /// The EPCs of all live sessions, in order.

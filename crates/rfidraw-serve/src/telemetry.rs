@@ -119,9 +119,8 @@ pub(crate) struct GlobalMetrics {
     /// Time a worker spends inside the tracker per drained batch.
     pub compute: LatencyHistogram,
     /// The pipeline trace recorder, when the service was configured with
-    /// one ([`crate::ServeConfig::trace`]). Always compiled; the
-    /// `trace` cargo feature only controls whether the *core* hot path
-    /// emits into it.
+    /// one ([`crate::ServeConfig::observability`]). Every session tracker
+    /// emits its core hot-path events into it too.
     pub trace: Option<Arc<TraceRecorder>>,
 }
 
@@ -352,7 +351,7 @@ pub struct TelemetryReport {
     /// Per-batch tracker compute-time histogram.
     pub compute: HistogramSnapshot,
     /// Per-stage span latency histograms from the trace recorder (empty
-    /// when no recorder is configured or the `trace` feature is off).
+    /// when no recorder is configured).
     pub stages: Vec<StageLatency>,
     /// Network front-end counters, summed over every server registered
     /// with the service (all zeros when serving is purely in-process).

@@ -202,6 +202,12 @@ fn park_and_readmit_preserves_read_order_bit_for_bit() {
 
     let mut sub = WireClient::connect(addr).unwrap();
     sub.subscribe(epc).unwrap();
+    // Subscribing only sends the frame; wait until the server registered
+    // it, or the producer's first positions could publish to nobody.
+    let local = service.client();
+    assert!(wait_until(Duration::from_secs(10), || {
+        local.session_view(epc).is_some_and(|v| v.subscribers > 0)
+    }));
     let collector = std::thread::spawn(move || {
         let mut bits = Vec::new();
         loop {

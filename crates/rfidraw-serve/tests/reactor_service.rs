@@ -17,11 +17,11 @@ use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventoryS
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::Message;
 use rfidraw_serve::{
-    BackpressurePolicy, FrontendMode, ReactorServer, ServeConfig, TrackerTemplate,
+    BackpressurePolicy, FrontendMode, LocalClient, ReactorServer, ServeConfig, TrackerTemplate,
     TrackingService, WireClient, WireProtocol, WireServer,
 };
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn template() -> TrackerTemplate {
     TrackerTemplate::paper_default(Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7)))
@@ -50,6 +50,20 @@ fn eight_tag_streams(seed: u64, duration: f64) -> BTreeMap<Epc, Vec<PhaseRead>> 
 }
 
 type PositionBits = Vec<(u64, u64, u64)>;
+
+/// Waits (up to a deadline) until every tag in `epcs` has a registered
+/// subscription. `WireClient::subscribe` only sends the frame, and the
+/// server registers it whenever it next reads that connection; a
+/// producer started earlier could publish positions nobody receives.
+fn await_subscribers(client: &LocalClient, epcs: impl IntoIterator<Item = Epc>) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for epc in epcs {
+        while client.session_view(epc).is_none_or(|v| v.subscribers == 0) {
+            assert!(Instant::now() < deadline, "{epc}: subscription never registered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
 
 /// Standalone-tracker oracle: one tracker per tag, positions as raw bits.
 /// Tracker-refused reads (possible on faulted streams) are skipped, which
@@ -150,6 +164,7 @@ fn run_frontend(
             })
         })
         .collect();
+    await_subscribers(&service.client(), streams.keys().copied());
 
     let producers: Vec<_> = streams
         .iter()
@@ -348,6 +363,7 @@ fn graceful_shutdown_delivers_session_closed_then_clean_eof() {
     sub_json.subscribe(epc_a).unwrap();
     let mut sub_bin = WireClient::connect_binary(addr).unwrap();
     sub_bin.subscribe(epc_b).unwrap();
+    await_subscribers(&service.client(), [epc_a, epc_b]);
 
     let mut producer = WireClient::connect_binary(addr).unwrap();
     for (epc, t) in [(epc_a, 0.1), (epc_b, 0.2)] {
@@ -357,9 +373,6 @@ fn graceful_shutdown_delivers_session_closed_then_clean_eof() {
         assert_eq!(ack.accepted, 1);
     }
     service.quiesce();
-    // Give the reactor a tick to register both subscriptions' replies
-    // before tearing it down.
-    std::thread::sleep(Duration::from_millis(50));
     server.shutdown().expect("graceful shutdown");
 
     for (mut sub, epc) in [(sub_json, epc_a), (sub_bin, epc_b)] {

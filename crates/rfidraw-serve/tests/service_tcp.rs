@@ -12,11 +12,13 @@ use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventoryS
 use rfidraw_protocol::Epc;
 use rfidraw_serve::wire::{self, Envelope, Message};
 use rfidraw_serve::{
-    BackpressurePolicy, ServeConfig, TrackerTemplate, TrackingService, WireClient, WireServer,
+    BackpressurePolicy, LocalClient, ServeConfig, TrackerTemplate, TrackingService, WireClient,
+    WireServer,
 };
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn template() -> TrackerTemplate {
     TrackerTemplate::paper_default(Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7)))
@@ -42,6 +44,20 @@ fn eight_tag_streams(seed: u64, duration: f64) -> BTreeMap<Epc, Vec<PhaseRead>> 
     let channel = Channel::new(Deployment::paper_default(), Scenario::Los.config(), seed);
     let mut sim = InventorySim::new(channel, InventoryConfig::paper_default(0.030, seed));
     demux_phase_reads(&sim.run(&tags, duration))
+}
+
+/// Waits (up to a deadline) until every tag in `epcs` has a registered
+/// subscription. `WireClient::subscribe` only sends the frame, and the
+/// server registers it whenever it next reads that connection; a
+/// producer started earlier could publish positions nobody receives.
+fn await_subscribers(client: &LocalClient, epcs: impl IntoIterator<Item = Epc>) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for epc in epcs {
+        while client.session_view(epc).is_none_or(|v| v.subscribers == 0) {
+            assert!(Instant::now() < deadline, "{epc}: subscription never registered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 }
 
 #[test]
@@ -105,6 +121,7 @@ fn eight_sessions_over_tcp_match_standalone_trackers_bit_for_bit() {
             })
         })
         .collect();
+    await_subscribers(&service.client(), streams.keys().copied());
 
     let producers: Vec<_> = streams
         .iter()

@@ -1,8 +1,8 @@
 //! Observability tests: tracing must only *observe* — positions stay
 //! bit-identical with the recorder off, on, sampled, or disabled, across
-//! worker counts — and the flight recorder must capture backpressure
-//! anomalies and ship them (plus the Prometheus exposition) over loopback
-//! TCP.
+//! worker counts — the flight recorder must capture backpressure and
+//! tracker anomalies (each exactly once) and ship them (plus the
+//! Prometheus exposition) over loopback TCP.
 
 use rfidraw_channel::{Channel, Scenario};
 use rfidraw_core::array::{AntennaId, Deployment};
@@ -13,7 +13,8 @@ use rfidraw_metrics::TraceSettings;
 use rfidraw_protocol::inventory::{demux_phase_reads, InventoryConfig, InventorySim, SimTag};
 use rfidraw_protocol::Epc;
 use rfidraw_serve::{
-    BackpressurePolicy, ServeConfig, TrackerTemplate, TrackingService, WireClient, WireServer,
+    BackpressurePolicy, ServeConfig, SessionEvent, TrackerTemplate, TrackingService, WireClient,
+    WireServer,
 };
 use std::collections::BTreeMap;
 
@@ -194,6 +195,70 @@ fn backpressure_rejection_triggers_a_flight_recorder_dump() {
     let dumps = client.trace_dumps();
     assert_eq!(dumps.len(), 1);
     assert_eq!(dumps[0].trigger.as_ref().unwrap().stage, "ingest_drop");
+}
+
+/// Stale resets and antenna degradation are recorded by the session
+/// tracker's sink and nowhere else: the recorder's anomaly count per stage
+/// equals the matching events the subscriptions saw, so no anomaly is
+/// recorded twice or dropped. One tag goes silent past `max_read_gap`, one
+/// loses an antenna past `dropout_after` and gets it back, and one goes
+/// stale while degraded, whose reset closes the degradation episode.
+#[test]
+fn stale_and_degraded_anomalies_are_recorded_exactly_once() {
+    let mut tpl = template();
+    tpl.online.dropout_after = Some(1.0);
+    tpl.online.readmit_after = 0.3;
+    let max_gap = tpl.online.max_read_gap.expect("the paper template detects stale gaps");
+    let mut cfg = ServeConfig::new(tpl);
+    cfg.workers = None;
+    cfg.queue_capacity = 100_000;
+    // Keep every event and retain a dump per anomaly, so the dump
+    // triggers account for every anomaly the recorder saw.
+    cfg.observability = Some(TraceSettings { max_dumps: 4096, ..TraceSettings::default() });
+    let service = TrackingService::start(cfg);
+    let client = service.client();
+
+    let dark = AntennaId(3);
+    let gap = |reads: &mut Vec<PhaseRead>, from: f64| {
+        for r in reads.iter_mut().filter(|r| r.t >= from) {
+            r.t += 1.5 * max_gap;
+        }
+    };
+    let streams = eight_tag_streams(5, 3.5);
+    let mut feeds: Vec<(Epc, Vec<PhaseRead>)> = streams.into_iter().take(3).collect();
+    gap(&mut feeds[0].1, 1.5);
+    feeds[1].1.retain(|r| r.antenna != dark || !(0.8..2.4).contains(&r.t));
+    feeds[2].1.retain(|r| r.antenna != dark || r.t < 0.8);
+    gap(&mut feeds[2].1, 2.4);
+
+    let subscriptions: Vec<_> =
+        feeds.iter().map(|(epc, _)| client.subscribe(*epc).expect("subscribe")).collect();
+    for (epc, reads) in &feeds {
+        client.ingest(*epc, reads).expect("ingest");
+    }
+    service.quiesce();
+
+    let (mut stale, mut degraded) = (0, 0);
+    for (i, rx) in subscriptions.iter().enumerate() {
+        let events: Vec<SessionEvent> = rx.try_iter().collect();
+        let tag_stale = events.iter().filter(|e| matches!(e, SessionEvent::Stale { .. })).count();
+        let tag_degraded =
+            events.iter().filter(|e| matches!(e, SessionEvent::Degraded { .. })).count();
+        assert!(tag_stale + tag_degraded > 0, "tag {i} must exercise an anomaly");
+        stale += tag_stale;
+        degraded += tag_degraded;
+    }
+    assert!(stale >= 2, "two tags go stale (saw {stale})");
+    assert!(degraded >= 1, "an antenna blackout must surface (saw {degraded})");
+
+    let rec = client.trace_recorder().expect("recorder configured");
+    let dumps = client.trace_dumps();
+    assert_eq!(dumps.len() as u64, rec.anomaly_count(), "every anomaly left a dump");
+    let recorded = |stage: &str| {
+        dumps.iter().filter(|d| d.trigger.as_ref().is_some_and(|t| t.stage == stage)).count()
+    };
+    assert_eq!(recorded("stale_reset"), stale, "stale resets recorded exactly once");
+    assert_eq!(recorded("degraded"), degraded, "degradations recorded exactly once");
 }
 
 /// Satellite 3: the TraceDump round-trips over loopback TCP, alongside

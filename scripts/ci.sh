@@ -190,40 +190,24 @@ echo "$mr_out" | awk -v cores="$cores" '
     }
 '
 
-echo "== tier 2: observability (--features trace) =="
-# The same serving-layer suite with the core hot-path emit sites compiled
-# in: the trace_observability tests assert positions stay bit-identical
-# with tracing off, on, and sampled, across worker counts.
-cargo test --release --offline -q -p rfidraw-serve --features trace
-cargo test --release --offline -q -p rfidraw-core --features trace
-
-echo "== tier 2: trace-disabled overhead gate =="
-# The instrumented build with no sink installed must not cost more than
-# 10% over the build with no emit sites at all, on the serial 1 cm
-# vote-engine evaluation. The true overhead of the disabled-sink null
-# check is within run-to-run noise; the 10% margin absorbs the code
-# *layout* jitter between two separately compiled binaries, which
-# interleaved A/B runs show can swing either binary by several percent
-# on its own. Each binary is kept aside (the second build overwrites
-# the target path), runs are interleaved, and the per-binary minimum is
-# compared so a slow scheduler tick cannot fail the gate.
-overhead_dir=$(mktemp -d)
-trap 'rm -rf "$overhead_dir"' EXIT
+echo "== tier 2: trace overhead gate =="
+# One binary, one engine: interleaved rounds of the serial 1 cm vote-engine
+# evaluation with no sink and with a default trace recorder installed, the
+# per-mode minimum compared so a slow scheduler tick cannot fail the gate.
+# An installed recorder must not cost 10% or more. (There is one build, so
+# the no-sink cost is part of every measurement in this script.)
 cargo build --release --offline -q -p rfidraw-bench --bin trace_overhead
-cp target/release/trace_overhead "$overhead_dir/base"
-cargo build --release --offline -q -p rfidraw-bench --features trace --bin trace_overhead
-cp target/release/trace_overhead "$overhead_dir/inst"
-base=""; inst=""
-for _ in 1 2 3; do
-    b=$("$overhead_dir/base" --iters 20 --rounds 5 | awk '/^ns_per_eval:/{print $2}')
-    i=$("$overhead_dir/inst" --iters 20 --rounds 5 | awk '/^ns_per_eval:/{print $2}')
-    if [ -z "$base" ] || [ "$b" -lt "$base" ]; then base=$b; fi
-    if [ -z "$inst" ] || [ "$i" -lt "$inst" ]; then inst=$i; fi
-done
-awk -v b="$base" -v i="$inst" 'BEGIN {
-    pct = (i - b) / b * 100.0;
-    printf "trace-disabled overhead: baseline %d ns, instrumented %d ns (%+.2f%%)\n", b, i, pct;
-    exit (pct < 10.0) ? 0 : 1;
-}'
+target/release/trace_overhead --iters 5 --rounds 120 | awk '
+    { print }
+    /^overhead_pct:/ { pct = $2; seen = 1 }
+    END {
+        if (!seen) {
+            print "trace overhead: overhead_pct missing from output" > "/dev/stderr"
+            exit 1
+        }
+        printf "trace overhead: recorder vs no sink %+.2f%% (must be < 10%%)\n", pct
+        exit (pct < 10.0) ? 0 : 1
+    }
+'
 
 echo "CI OK"
