@@ -3,16 +3,22 @@
 //! beamforming, snapshot construction, and recognition.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rfidraw::channel::noise::WrappedGaussian;
 use rfidraw::core::array::Deployment;
 use rfidraw::core::baseline::BaselineArrays;
 use rfidraw::core::engine::VoteEngine;
 use rfidraw::core::exec::Parallelism;
 use rfidraw::core::geom::{Plane, Point2, Rect};
 use rfidraw::core::grid::{Grid2, VoteMap};
+use rfidraw::core::phase::wrap_pi;
 use rfidraw::core::position::{MultiResConfig, MultiResPositioner};
+use rfidraw::core::stream::PairSnapshot;
 use rfidraw::core::trace::{ideal_snapshots, TraceConfig, TrajectoryTracer};
-use rfidraw::core::vote::ideal_measurements;
+use rfidraw::core::vote::{ideal_measurements, PairMeasurement};
 use rfidraw::recognition::Recognizer;
+use std::f64::consts::TAU;
 use std::hint::black_box;
 
 fn region() -> Rect {
@@ -160,6 +166,26 @@ fn bench_trace_steps(c: &mut Criterion) {
     };
     c.bench_function("trace_100_ticks", |b| {
         b.iter(|| black_box(tracer.trace_from(start, black_box(&snaps))))
+    });
+    // The same path with seeded per-pair phase noise (0.2 rad, the "clear"
+    // scenario's per-read level). Noise-free snapshots put the best vote
+    // at about 0, which flatters the step's early exit; live traffic does
+    // not.
+    let noise = WrappedGaussian::new(0.2);
+    let mut rng = StdRng::seed_from_u64(0x7ace_0100);
+    let noisy: Vec<PairSnapshot> = snaps
+        .iter()
+        .map(|snap| {
+            let mut snap = snap.clone();
+            for (m, (_, turns)) in snap.wrapped.iter_mut().zip(&mut snap.unwrapped_turns) {
+                *turns += noise.sample(&mut rng) / TAU;
+                *m = PairMeasurement::new(m.pair, wrap_pi(TAU * *turns));
+            }
+            snap
+        })
+        .collect();
+    c.bench_function("trace_100_ticks_noisy", |b| {
+        b.iter(|| black_box(tracer.trace_from(start, black_box(&noisy))))
     });
 }
 

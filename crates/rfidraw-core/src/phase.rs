@@ -125,8 +125,20 @@ pub fn unwrap_series(wrapped: &[f64]) -> Vec<f64> {
 ///
 /// This is the `min_k ‖x − k‖` of Eq. 7: how far a measured
 /// distance-difference (in wavelengths) is from the *nearest* grating lobe.
+///
+/// The nearest integer comes from the magic-number form of
+/// [`frac_dist_to_integer_f32`], `(x + 1.5·2⁵²) − 1.5·2⁵²`, rather than
+/// `f64::round`, which on the baseline x86-64 target is an out-of-line
+/// libm call. The same argument makes it exact for `|x| ≤ 2⁵¹` (`x + M`
+/// lands in `[2⁵², 2⁵³]`, where the f64 lattice spacing is 1), and the
+/// result is bit-identical to `(x - x.round()).abs()`: only exact
+/// half-integer ties pick a different integer, both at distance 0.5.
+/// Larger magnitudes, infinities and NaN take the `round` form itself.
 pub fn frac_dist_to_integer(x: f64) -> f64 {
-    (x - x.round()).abs()
+    const MAGIC: f64 = 6_755_399_441_055_744.0; // 1.5 · 2⁵²
+    const EXACT: f64 = 2_251_799_813_685_248.0; // 2⁵¹
+    let r = if x.abs() <= EXACT { (x + MAGIC) - MAGIC } else { x.round() };
+    (x - r).abs()
 }
 
 /// Single-precision [`frac_dist_to_integer`]: distance from `x` to the
@@ -315,6 +327,33 @@ mod tests {
             let trick = frac_dist_to_integer_f32(x);
             let libm = (x - x.round()).abs();
             assert_eq!(trick.to_bits(), libm.to_bits(), "x = {x}");
+        }
+    }
+
+    #[test]
+    fn frac_dist_to_integer_is_bit_identical_to_round_form() {
+        // Same contract as the f32 helper, over the whole f64 line: exact
+        // half-integer ties, signed zeros, both sides of the ±2⁵¹ switch to
+        // `round`, non-finite input, and a dense sweep of irregular values.
+        let e = 2_251_799_813_685_248.0_f64; // 2⁵¹
+        let mut probes: Vec<f64> = vec![
+            0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1234.5, -1234.5, 0.25, -0.25,
+            3.75, 1e-300, -1e-300, f64::MIN_POSITIVE, 0.49999999999999994,
+            -0.49999999999999994, e, -e, e - 0.5, -(e - 0.5), e + 0.5, -(e + 0.5),
+            e + 1.0, -(e + 1.0), 2.0 * e, -2.0 * e, 4.0 * e, f64::MAX, f64::MIN,
+            f64::INFINITY, f64::NEG_INFINITY, f64::NAN,
+        ];
+        for i in 0..20_000 {
+            let x = (i as f64) * 0.024_71 - 247.1;
+            probes.push(x);
+            probes.push(x * 997.0);
+            probes.push(x * 1.0e13);
+            probes.push(f64::from(i) - 10_000.5);
+        }
+        for x in probes {
+            let trick = frac_dist_to_integer(x);
+            let libm = (x - x.round()).abs();
+            assert_eq!(trick.to_bits(), libm.to_bits(), "x = {x:e}");
         }
     }
 

@@ -96,17 +96,71 @@ pub struct TrajectoryTracer {
     dep: Deployment,
     plane: Plane,
     config: TraceConfig,
-    /// Precomputed local-search offsets within the vicinity disc.
-    offsets: Vec<Point2>,
-    /// Pre-resolved wide-pair geometry: `(pair, pos_i, pos_j)` — avoids
-    /// antenna lookups in the per-tick hot loop.
-    wide_geom: Vec<(AntennaPair, crate::geom::Point3, crate::geom::Point3)>,
-    /// Pre-resolved coarse-pair geometry, same layout.
-    coarse_geom: Vec<(AntennaPair, crate::geom::Point3, crate::geom::Point3)>,
+    /// The local-search disc, one span per run of offsets within a row, in
+    /// row-major order. Offsets are integer multiples of the step
+    /// resolution, so a row needs three integers rather than one point per
+    /// offset — the tracer is built once per serving session, and this is
+    /// most of its footprint.
+    disc: Vec<DiscSpan>,
+    /// Disc half-width in steps: columns and rows both run over
+    /// `-half..=half`.
+    half: i32,
+    /// Wide pairs resolved to indices into the deployment's antenna list.
+    wide_geom: Vec<PairIdx>,
+    /// Coarse pairs, same layout.
+    coarse_geom: Vec<PairIdx>,
+    /// Antennas the wide pairs read (deployment indices).
+    wide_ants: Vec<usize>,
+    /// Antennas only the coarse pairs read.
+    coarse_ants: Vec<usize>,
     /// `path_factor / λ`, the distance-difference-to-turns factor.
     turns_factor: f64,
     sink: Option<crate::obs::SharedSink>,
     session: u64,
+}
+
+/// One run of disc offsets `(ix·s, iz·s)`, `ix ∈ first..=last`, in row `iz`
+/// (`s` the step resolution).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DiscSpan {
+    iz: i32,
+    first: i32,
+    last: i32,
+}
+
+/// An antenna pair resolved to indices into the deployment's antenna list.
+#[derive(Debug, Clone, Copy)]
+struct PairIdx {
+    pair: AntennaPair,
+    i: usize,
+    j: usize,
+}
+
+/// One vote term of a step: the pair's antennas (deployment indices) and
+/// its target turns — the locked-lobe target for a wide pair, the measured
+/// turns for a coarse one.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    i: usize,
+    j: usize,
+    turns: f64,
+}
+
+/// Per-thread step buffers, grown on first use and reused by every later
+/// step, so a step allocates nothing.
+#[derive(Debug, Default)]
+struct StepScratch {
+    wide: Vec<Target>,
+    coarse: Vec<Target>,
+    /// Hoisted distance terms, `2·side` per antenna: `dx² + dy²` for each
+    /// disc column, then `dz²` for each disc row.
+    terms: Vec<f64>,
+    /// Each antenna's distance from the offset being scored.
+    dist: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<StepScratch> = std::cell::RefCell::default();
 }
 
 impl TrajectoryTracer {
@@ -120,37 +174,61 @@ impl TrajectoryTracer {
         assert!(!dep.wide_pairs().is_empty(), "tracing needs wide pairs");
         let r = config.vicinity_radius;
         let s = config.step_resolution;
-        let n = (r / s).floor() as i64;
-        let mut offsets = Vec::new();
-        for iz in -n..=n {
-            for ix in -n..=n {
-                let o = Point2::new(ix as f64 * s, iz as f64 * s);
+        let half = i32::try_from((r / s).floor() as i64).expect("vicinity disc too large");
+        let mut disc: Vec<DiscSpan> = Vec::new();
+        for iz in -half..=half {
+            for ix in -half..=half {
+                let o = Point2::new(f64::from(ix) * s, f64::from(iz) * s);
                 if o.norm() <= r + 1e-12 {
-                    offsets.push(o);
+                    match disc.last_mut() {
+                        Some(span) if span.iz == iz && span.last + 1 == ix => span.last = ix,
+                        _ => disc.push(DiscSpan { iz, first: ix, last: ix }),
+                    }
                 }
             }
         }
+        let index_of = |id| {
+            dep.antennas()
+                .iter()
+                .position(|a| a.id == id)
+                .expect("validated pair")
+        };
         let resolve = |pairs: &[AntennaPair]| {
             pairs
                 .iter()
-                .map(|&pair| {
-                    let pi = dep.antenna(pair.i).expect("validated pair").pos;
-                    let pj = dep.antenna(pair.j).expect("validated pair").pos;
-                    (pair, pi, pj)
+                .map(|&pair| PairIdx {
+                    pair,
+                    i: index_of(pair.i),
+                    j: index_of(pair.j),
                 })
                 .collect::<Vec<_>>()
         };
         let wide_geom = resolve(dep.wide_pairs());
         let coarse_pairs: Vec<AntennaPair> = dep.coarse_pairs().copied().collect();
         let coarse_geom = resolve(&coarse_pairs);
+        let mut wide_ants: Vec<usize> = Vec::new();
+        for a in wide_geom.iter().flat_map(|g| [g.i, g.j]) {
+            if !wide_ants.contains(&a) {
+                wide_ants.push(a);
+            }
+        }
+        let mut coarse_ants: Vec<usize> = Vec::new();
+        for a in coarse_geom.iter().flat_map(|g| [g.i, g.j]) {
+            if !wide_ants.contains(&a) && !coarse_ants.contains(&a) {
+                coarse_ants.push(a);
+            }
+        }
         let turns_factor = dep.path_factor() / dep.wavelength().meters();
         Self {
             dep,
             plane,
             config,
-            offsets,
+            disc,
+            half,
             wide_geom,
             coarse_geom,
+            wide_ants,
+            coarse_ants,
             turns_factor,
             sink: None,
             session: 0,
@@ -232,22 +310,11 @@ impl TrajectoryTracer {
         snap: &PairSnapshot,
         locked: &[(AntennaPair, i64)],
     ) -> (Point2, f64) {
-        let mut wide_targets = Vec::with_capacity(self.wide_geom.len());
-        for (idx, (pair, pi, pj)) in self.wide_geom.iter().enumerate() {
-            let turns = snap
-                .turns_of(*pair)
-                .unwrap_or_else(|| panic!("snapshot lacks wide pair {pair:?}"));
-            wide_targets.push((*pi, *pj, turns + locked[idx].1 as f64));
-        }
-        let mut coarse_targets = Vec::new();
-        if self.config.include_coarse {
-            for (pair, pi, pj) in &self.coarse_geom {
-                if let Some(m) = snap.wrapped.iter().find(|m| m.pair == *pair) {
-                    coarse_targets.push((*pi, *pj, m.turns()));
-                }
-            }
-        }
-        self.step(prev, &wide_targets, &coarse_targets)
+        SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            self.fill_targets(snap, locked, true, s);
+            self.step(prev, s)
+        })
     }
 
     /// Degraded-mode counterpart of [`TrajectoryTracer::advance`]: wide
@@ -266,24 +333,11 @@ impl TrajectoryTracer {
         snap: &PairSnapshot,
         locked: &[(AntennaPair, i64)],
     ) -> Option<(Point2, f64)> {
-        let mut wide_targets = Vec::with_capacity(self.wide_geom.len());
-        for (pair, pi, pj) in &self.wide_geom {
-            let Some(turns) = snap.turns_of(*pair) else { continue };
-            let Some(&(_, k)) = locked.iter().find(|(p, _)| p == pair) else { continue };
-            wide_targets.push((*pi, *pj, turns + k as f64));
-        }
-        if wide_targets.is_empty() {
-            return None;
-        }
-        let mut coarse_targets = Vec::new();
-        if self.config.include_coarse {
-            for (pair, pi, pj) in &self.coarse_geom {
-                if let Some(m) = snap.wrapped.iter().find(|m| m.pair == *pair) {
-                    coarse_targets.push((*pi, *pj, m.turns()));
-                }
-            }
-        }
-        Some(self.step(prev, &wide_targets, &coarse_targets))
+        SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            self.fill_targets(snap, locked, false, s);
+            (!s.wide.is_empty()).then(|| self.step(prev, s))
+        })
     }
 
     /// Traces from one initial position through the snapshot sequence.
@@ -300,31 +354,16 @@ impl TrajectoryTracer {
         let mut points = Vec::with_capacity(snapshots.len());
         let mut votes = Vec::with_capacity(snapshots.len());
         let mut prev = initial.position;
-        // Per-snapshot vote targets, in turns, against precomputed geometry.
-        let mut wide_targets = Vec::with_capacity(self.wide_geom.len());
-        let mut coarse_targets = Vec::with_capacity(self.coarse_geom.len());
-        for snap in snapshots {
-            wide_targets.clear();
-            for (idx, (pair, pi, pj)) in self.wide_geom.iter().enumerate() {
-                let turns = snap
-                    .turns_of(*pair)
-                    .unwrap_or_else(|| panic!("snapshot lacks wide pair {pair:?}"));
-                let k = locked[idx].1;
-                wide_targets.push((*pi, *pj, turns + k as f64));
+        SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            for snap in snapshots {
+                self.fill_targets(snap, &locked, true, s);
+                let (best, vote) = self.step(prev, s);
+                points.push(best);
+                votes.push(vote);
+                prev = best;
             }
-            coarse_targets.clear();
-            if self.config.include_coarse {
-                for (pair, pi, pj) in &self.coarse_geom {
-                    if let Some(m) = snap.wrapped.iter().find(|m| m.pair == *pair) {
-                        coarse_targets.push((*pi, *pj, m.turns()));
-                    }
-                }
-            }
-            let (best, vote) = self.step(prev, &wide_targets, &coarse_targets);
-            points.push(best);
-            votes.push(vote);
-            prev = best;
-        }
+        });
 
         let smoothed = moving_average(&points, self.config.smooth_window);
         let total_vote = votes.iter().sum();
@@ -384,37 +423,167 @@ impl TrajectoryTracer {
         (winner, traces)
     }
 
-    /// One tracing step: the vicinity point with the best total vote.
+    /// Fills `s.wide` with each wide pair's locked-lobe target (its
+    /// unwrapped turns plus the locked lobe, a fixed-lobe quadratic
+    /// penalty) and `s.coarse` with each coarse pair's measured turns
+    /// (scored against the nearest lobe), both in deployment order.
     ///
-    /// `wide_targets` are `(pos_i, pos_j, target_turns)` with the locked
-    /// lobe folded into the target (fixed-lobe quadratic penalty);
-    /// `coarse_targets` are `(pos_i, pos_j, measured_turns)` scored against
-    /// the nearest lobe.
-    fn step(
+    /// `strict` is [`TrajectoryTracer::advance`]'s contract: every wide
+    /// pair must be in the snapshot (panics otherwise) and `locked` holds
+    /// one lock per wide pair in deployment order. Otherwise wide pairs
+    /// missing from the snapshot or from `locked` (looked up by pair) are
+    /// skipped.
+    fn fill_targets(
         &self,
-        prev: Point2,
-        wide_targets: &[(crate::geom::Point3, crate::geom::Point3, f64)],
-        coarse_targets: &[(crate::geom::Point3, crate::geom::Point3, f64)],
-    ) -> (Point2, f64) {
+        snap: &PairSnapshot,
+        locked: &[(AntennaPair, i64)],
+        strict: bool,
+        s: &mut StepScratch,
+    ) {
+        s.wide.clear();
+        for (idx, g) in self.wide_geom.iter().enumerate() {
+            let (turns, k) = if strict {
+                let turns = snap
+                    .turns_of(g.pair)
+                    .unwrap_or_else(|| panic!("snapshot lacks wide pair {:?}", g.pair));
+                (turns, locked[idx].1)
+            } else {
+                let Some(turns) = snap.turns_of(g.pair) else { continue };
+                let Some(&(_, k)) = locked.iter().find(|(p, _)| *p == g.pair) else { continue };
+                (turns, k)
+            };
+            s.wide.push(Target { i: g.i, j: g.j, turns: turns + k as f64 });
+        }
+        s.coarse.clear();
+        if self.config.include_coarse {
+            for g in &self.coarse_geom {
+                if let Some(m) = snap.wrapped.iter().find(|m| m.pair == g.pair) {
+                    s.coarse.push(Target { i: g.i, j: g.j, turns: m.turns() });
+                }
+            }
+        }
+    }
+
+    /// One tracing step: the first disc offset, in row-major order, with
+    /// the best total vote against `s.wide` and `s.coarse`.
+    ///
+    /// Bit-identical to scoring every offset `o` with `Point3::dist` on
+    /// `plane.lift(prev + o)`: each antenna's distance is
+    /// `((dx² + dy²) + dz²).sqrt()` either way, here from a column term
+    /// `dx² + dy²` and a row term `dz²` hoisted out of the disc scan, and
+    /// computed once per antenna rather than once per pair it belongs to.
+    /// Every vote term subtracts a square, so a partial vote only falls:
+    /// an offset is abandoned once it can no longer beat the best so far
+    /// (`>`, so ties keep the earlier offset) or fall short of the vote at
+    /// `prev` itself (`<`: an earlier offset *equal* to it still wins the
+    /// tie), which is scored first as that floor.
+    fn step(&self, prev: Point2, s: &mut StepScratch) -> (Point2, f64) {
+        let StepScratch { wide, coarse, terms, dist } = s;
+        let res = self.config.step_resolution;
+        let half = self.half;
+        let side = (2 * half + 1) as usize;
+        let ants = self.dep.antennas();
+        let coarse_ants: &[usize] = if coarse.is_empty() { &[] } else { &self.coarse_ants };
+        terms.resize(ants.len() * 2 * side, 0.0);
+        dist.resize(ants.len(), 0.0);
+        for &a in self.wide_ants.iter().chain(coarse_ants) {
+            let pos = ants[a].pos;
+            let dy = self.plane.depth - pos.y;
+            let (cols, rows) = terms[2 * side * a..2 * side * (a + 1)].split_at_mut(side);
+            for (c, col) in (-half..=half).zip(cols) {
+                let dx = (prev.x + f64::from(c) * res) - pos.x;
+                *col = dx * dx + dy * dy;
+            }
+            for (r, row) in (-half..=half).zip(rows) {
+                let dz = (prev.z + f64::from(r) * res) - pos.z;
+                *row = dz * dz;
+            }
+        }
+
+        // Each antenna's distance from the offset at disc column `c`, row
+        // `r` (both `0..side`).
+        let measure = |dist: &mut [f64], ants: &[usize], c: usize, r: usize| {
+            for &a in ants {
+                let base = 2 * side * a;
+                dist[a] = (terms[base + c] + terms[base + side + r]).sqrt();
+            }
+        };
+        // The vote at column `c`, row `r`, or `None` once a partial vote
+        // drops below `floor` or to `best`.
+        let mut score = |c: usize, r: usize, floor: f64, best: f64| -> Option<f64> {
+            measure(dist, &self.wide_ants, c, r);
+            let mut v = 0.0;
+            for t in wide.iter() {
+                let x = self.turns_factor * (dist[t.i] - dist[t.j]) - t.turns;
+                v -= x * x;
+                if v < floor || v <= best {
+                    return None;
+                }
+            }
+            measure(dist, coarse_ants, c, r);
+            for t in coarse.iter() {
+                let x = self.turns_factor * (dist[t.i] - dist[t.j]) - t.turns;
+                let f = crate::phase::frac_dist_to_integer(x);
+                v -= f * f;
+                if v < floor || v <= best {
+                    return None;
+                }
+            }
+            Some(v)
+        };
+
+        let centre = half as usize;
+        let floor = score(centre, centre, f64::NEG_INFINITY, f64::NEG_INFINITY)
+            .unwrap_or(f64::NEG_INFINITY);
         let mut best = prev;
         let mut best_vote = f64::NEG_INFINITY;
-        for off in &self.offsets {
-            let p2 = prev + *off;
-            let p3 = self.plane.lift(p2);
-            let mut v = 0.0;
-            for &(pi, pj, target) in wide_targets {
-                let turns = self.turns_factor * (p3.dist(pi) - p3.dist(pj));
-                let r = turns - target;
-                v -= r * r;
+        for span in &self.disc {
+            let r = (span.iz + half) as usize;
+            let z = prev.z + f64::from(span.iz) * res;
+            for ix in span.first..=span.last {
+                let Some(v) = score((ix + half) as usize, r, floor, best_vote) else { continue };
+                if v > best_vote {
+                    best_vote = v;
+                    best = Point2::new(prev.x + f64::from(ix) * res, z);
+                }
             }
-            for &(pi, pj, measured) in coarse_targets {
-                let turns = self.turns_factor * (p3.dist(pi) - p3.dist(pj));
-                let f = crate::phase::frac_dist_to_integer(turns - measured);
-                v -= f * f;
-            }
-            if v > best_vote {
-                best_vote = v;
-                best = p2;
+        }
+        (best, best_vote)
+    }
+
+    /// The brute-force step [`TrajectoryTracer::step`] must reproduce bit
+    /// for bit: every disc offset, two `Point3::dist` calls per pair.
+    #[cfg(test)]
+    fn step_reference(&self, prev: Point2, wide: &[Target], coarse: &[Target]) -> (Point2, f64) {
+        let r = self.config.vicinity_radius;
+        let s = self.config.step_resolution;
+        let n = (r / s).floor() as i64;
+        let pos = |a: usize| self.dep.antennas()[a].pos;
+        let mut best = prev;
+        let mut best_vote = f64::NEG_INFINITY;
+        for iz in -n..=n {
+            for ix in -n..=n {
+                let off = Point2::new(ix as f64 * s, iz as f64 * s);
+                if off.norm() > r + 1e-12 {
+                    continue;
+                }
+                let p2 = prev + off;
+                let p3 = self.plane.lift(p2);
+                let mut v = 0.0;
+                for t in wide {
+                    let turns = self.turns_factor * (p3.dist(pos(t.i)) - p3.dist(pos(t.j)));
+                    let r = turns - t.turns;
+                    v -= r * r;
+                }
+                for t in coarse {
+                    let turns = self.turns_factor * (p3.dist(pos(t.i)) - p3.dist(pos(t.j)));
+                    let f = crate::phase::frac_dist_to_integer(turns - t.turns);
+                    v -= f * f;
+                }
+                if v > best_vote {
+                    best_vote = v;
+                    best = p2;
+                }
             }
         }
         (best, best_vote)
@@ -480,7 +649,7 @@ pub fn ideal_snapshots(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::Deployment;
+    use crate::array::{AntennaId, Deployment};
     use crate::geom::Plane;
 
     fn letter_q_path() -> Vec<Point2> {
@@ -642,6 +811,181 @@ mod tests {
         dark.wrapped.retain(|m| !dep.wide_pairs().contains(&m.pair));
         dark.unwrapped_turns.retain(|(p, _)| !dep.wide_pairs().contains(p));
         assert!(tracer.advance_avail(path[0], &dark, &locked).is_none());
+    }
+
+    /// `ideal_snapshots` with seeded uniform noise of up to ±`amp` turns on
+    /// every pair, applied consistently to the wrapped and unwrapped forms.
+    fn noisy_snapshots(
+        dep: &Deployment,
+        plane: Plane,
+        path: &[Point2],
+        seed: u64,
+        amp: f64,
+    ) -> Vec<PairSnapshot> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut snaps = ideal_snapshots(dep, plane, path, 0.04);
+        for snap in &mut snaps {
+            for (m, (_, turns)) in snap.wrapped.iter_mut().zip(&mut snap.unwrapped_turns) {
+                *turns += rng.gen_range(-amp..amp);
+                *m = PairMeasurement::new(m.pair, crate::phase::wrap_pi(TAU * *turns));
+            }
+        }
+        snaps
+    }
+
+    /// Steps through `advance_avail` and through the brute-force reference
+    /// on the same targets, asserts the two agree bit for bit, and returns
+    /// the step (`None` when no locked wide pair is available).
+    fn checked_step(
+        tracer: &TrajectoryTracer,
+        prev: Point2,
+        snap: &PairSnapshot,
+        locked: &[(AntennaPair, i64)],
+    ) -> Option<(Point2, f64)> {
+        let mut s = StepScratch::default();
+        tracer.fill_targets(snap, locked, false, &mut s);
+        let got = tracer.advance_avail(prev, snap, locked);
+        if s.wide.is_empty() {
+            assert!(got.is_none());
+            return None;
+        }
+        let want = tracer.step_reference(prev, &s.wide, &s.coarse);
+        let got = got.expect("a locked wide pair is available");
+        let bits = |(p, v): (Point2, f64)| (p.x.to_bits(), p.z.to_bits(), v.to_bits());
+        assert_eq!(bits(got), bits(want), "from {prev:?}: step {got:?}, reference {want:?}");
+        Some(got)
+    }
+
+    #[test]
+    fn step_matches_brute_force_reference_bit_for_bit() {
+        let lambda = crate::phase::Wavelength::paper_default();
+        let deployments = [
+            Deployment::paper_default(),
+            Deployment::square_with_side(lambda, 4.0),
+            Deployment::square_with_side(lambda, 12.0),
+        ];
+        // (vicinity radius, step resolution): the default, a non-integer
+        // ratio (17.5 steps), and a coarse disc (6.67 steps).
+        let discs = [(0.10, 0.005), (0.07, 0.004), (0.05, 0.0075)];
+        let plane = Plane::at_depth(2.0);
+        let mut scene = 0u64;
+        for dep in &deployments {
+            let side = (dep.antennas()[3].pos.x - dep.antennas()[1].pos.x).abs();
+            let shift = Point2::new(0.5 * side, 0.5 * side) - Point2::new(1.3, 1.05);
+            let path: Vec<Point2> =
+                dense(&letter_q_path(), 2).iter().take(30).map(|&p| p + shift).collect();
+            for &(vicinity_radius, step_resolution) in &discs {
+                for include_coarse in [true, false] {
+                    scene += 1;
+                    let cfg = TraceConfig {
+                        vicinity_radius,
+                        step_resolution,
+                        include_coarse,
+                        ..TraceConfig::default()
+                    };
+                    let tracer = TrajectoryTracer::new(dep.clone(), plane, cfg);
+                    let snaps = noisy_snapshots(dep, plane, &path, 0x7ace + scene, 0.03);
+                    // Every other scene starts on a wrong (adjacent) lobe.
+                    let start = if scene & 1 == 0 {
+                        path[0]
+                    } else {
+                        path[0] + Point2::new(0.10, 0.08)
+                    };
+                    let locked = tracer.lock_lobes(&snaps[0], start);
+                    let mut prev = start;
+                    for (tick, snap) in snaps.iter().enumerate().skip(1) {
+                        let full = checked_step(&tracer, prev, snap, &locked).unwrap();
+                        let strict = tracer.advance(prev, snap, &locked);
+                        assert_eq!(full.0, strict.0);
+                        assert_eq!(full.1.to_bits(), strict.1.to_bits());
+                        // One degraded variant per tick, from the same point.
+                        let mut degraded = snap.clone();
+                        let mut lock_subset = locked.clone();
+                        let dark = |p: &AntennaPair| p.i == AntennaId(1) || p.j == AntennaId(1);
+                        match tick % 4 {
+                            0 => {
+                                let gone = dep.wide_pairs()[0];
+                                degraded.wrapped.retain(|m| m.pair != gone);
+                                degraded.unwrapped_turns.retain(|(p, _)| *p != gone);
+                            }
+                            1 => {
+                                degraded.wrapped.retain(|m| !dark(&m.pair));
+                                degraded.unwrapped_turns.retain(|(p, _)| !dark(p));
+                            }
+                            2 => {
+                                lock_subset.remove(2);
+                                lock_subset.reverse();
+                            }
+                            _ => degraded.wrapped.retain(|m| dep.wide_pairs().contains(&m.pair)),
+                        }
+                        checked_step(&tracer, prev, &degraded, &lock_subset).unwrap();
+                        prev = full.0;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_breaks_an_exact_vote_tie_towards_the_first_offset() {
+        // Two wide pairs mirrored about x = 0 and z = 0, both reading zero
+        // turns: the vote peaks at the origin. Half a step right of the
+        // mirror axis, `prev` and its left neighbour are mirror images with
+        // bit-identical votes, and no other disc offset comes as close to
+        // the peak. Row-major order puts the neighbour first, so it must
+        // win even though its vote only *equals* the floor set by `prev`.
+        let lambda = crate::phase::Wavelength::paper_default();
+        let a = 2.0 * lambda.meters();
+        let ant = |n: u8, x: f64, z: f64| crate::array::Antenna {
+            id: AntennaId(n),
+            reader: crate::array::ReaderId(1),
+            pos: crate::geom::Point3::on_wall(x, z),
+        };
+        let pair = |i: u8, j: u8| AntennaPair::new(AntennaId(i), AntennaId(j));
+        let pairs = [pair(1, 2), pair(3, 4)];
+        let dep = crate::array::DeploymentBuilder::new(lambda)
+            .backscatter(true)
+            .antenna(ant(1, -a, 0.0))
+            .antenna(ant(2, a, 0.0))
+            .antenna(ant(3, 0.0, -a))
+            .antenna(ant(4, 0.0, a))
+            .pair(pairs[0], crate::array::PairRole::Wide)
+            .pair(pairs[1], crate::array::PairRole::Wide)
+            .build();
+        let plane = Plane::at_depth(1.5);
+        let tracer = TrajectoryTracer::new(dep.clone(), plane, TraceConfig::default());
+        let s = tracer.config().step_resolution;
+        let snap = PairSnapshot {
+            t: 0.0,
+            wrapped: pairs.iter().map(|&p| PairMeasurement::new(p, 0.0)).collect(),
+            unwrapped_turns: pairs.iter().map(|&p| (p, 0.0)).collect(),
+        };
+        let locked: Vec<(AntennaPair, i64)> = pairs.iter().map(|&p| (p, 0)).collect();
+
+        let vote_at = |q: Point2| {
+            let q3 = plane.lift(q);
+            let dist = |id| q3.dist(dep.antenna(id).unwrap().pos);
+            pairs.iter().fold(0.0, |v, &p| {
+                let t = dep.path_factor() / lambda.meters() * (dist(p.i) - dist(p.j));
+                v - t * t
+            })
+        };
+        let prev = Point2::new(0.5 * s, 0.0);
+        let left = Point2::new(prev.x - s, prev.z);
+        assert_eq!(vote_at(prev).to_bits(), vote_at(left).to_bits(), "the scene must tie");
+
+        let (at, vote) = checked_step(&tracer, prev, &snap, &locked).unwrap();
+        assert_eq!((at.x.to_bits(), at.z.to_bits()), (left.x.to_bits(), left.z.to_bits()));
+        assert_eq!(vote.to_bits(), vote_at(prev).to_bits());
+    }
+
+    #[test]
+    fn default_disc_is_41_row_spans_of_1257_offsets() {
+        let (_, _, tracer) = setup();
+        assert_eq!(tracer.disc.len(), 41);
+        let offsets: i32 = tracer.disc.iter().map(|d| d.last - d.first + 1).sum();
+        assert_eq!(offsets, 1257);
     }
 
     #[test]

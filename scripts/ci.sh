@@ -2,8 +2,10 @@
 # Tier-1 CI gate: release build, full test suite, and a smoke pass over the
 # kernel benches (criterion `--test` mode runs each bench once, so bench
 # code rot is caught without paying for a real measurement run).
-# Tier-2 gate: the serving layer's integration tests in release and the
-# live_service example, which fails on any dropped read.
+# Tier-2 gate: the serving layer's integration tests in release, the
+# live_service example, which fails on any dropped read, and the perfbench
+# smoke test, which fails on any position that differs from a standalone
+# tracker's.
 #
 # Usage: scripts/ci.sh
 # Runs offline (the workspace vendors all dependencies).
@@ -105,6 +107,14 @@ cargo test --release --offline -q -p rfidraw-serve
 # deployment build exactly one coarse and one fine vote table between them.
 cargo test --release --offline -q -p rfidraw-serve --test table_cache
 cargo run --release --offline -p rfidraw --example live_service > /dev/null
+
+echo "== tier 2: live-writing benchmark smoke test =="
+# A tiny instance of every perfbench workload (live_words, live_per_read,
+# tap_churn), untraced and traced, through the real reactor stack. It is
+# the only end-to-end check that the service delivers the standalone
+# tracker's positions bit for bit on all three workloads, and that every
+# metric BENCHMARK.json names is reported.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== tier 2: fault injection =="
 # Every hostile-input class (NaN/infinite fields, clock steps, duplicates,
