@@ -200,7 +200,7 @@ fn bench_baseline_locate(c: &mut Criterion) {
 }
 
 /// Serving-layer queue overhead: routing, sharded registry lookup, bounded
-/// queueing, and round-robin draining of a fixed read budget spread over
+/// queueing, and ready-queue draining of a fixed read budget spread over
 /// 1 to 10240 concurrent sessions (the 1k/10k points are the
 /// 100k-session serving trajectory at bench-affordable scale). The reads
 /// carry an antenna outside the deployment so no tracker ever runs —

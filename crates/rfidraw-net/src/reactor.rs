@@ -50,9 +50,14 @@
 //!
 //! Every reactor owns a [`Wakeup`] self-pipe registered with its poller.
 //! [`Handler::on_start`] hands the handler a [`WakeupHandle`] it may clone
-//! to other threads (the serve layer parks it in session drain waiters);
-//! when notified, the reactor drains the pipe, adopts any injected
-//! connections (multi-reactor mode), and calls [`Handler::on_wakeup`].
+//! to other threads (the serve layer wraps it in a ready list that
+//! session subscriptions and drain waiters feed); when notified, the
+//! reactor drains the pipe, adopts any injected connections
+//! (multi-reactor mode), and calls [`Handler::on_wakeup`].
+//!
+//! There is no timer: the loop blocks in the poller until a socket or the
+//! wakeup pipe is ready. Work that arrives from other threads must come
+//! through the wakeup, and shutdown does too.
 //!
 //! # Multi-reactor accept
 //!
@@ -101,9 +106,6 @@ pub struct ReactorConfig {
     pub read_buffer: usize,
     /// Per-frame payload/line cap handed to each connection's decoder.
     pub max_frame_payload: usize,
-    /// Poll timeout per loop iteration; also the cadence of
-    /// [`Handler::on_tick`] when the sockets are quiet.
-    pub tick: Duration,
     /// Connections beyond this are accepted and immediately closed
     /// (counted in [`ReactorStats::rejected`]). In multi-reactor mode the
     /// cap applies per reactor.
@@ -119,7 +121,6 @@ impl Default for ReactorConfig {
             poller: PollerKind::Auto,
             read_buffer: 64 * 1024,
             max_frame_payload: crate::frame::DEFAULT_MAX_PAYLOAD,
-            tick: Duration::from_millis(1),
             max_connections: usize::MAX,
             shutdown_flush: Duration::from_millis(500),
         }
@@ -191,13 +192,10 @@ pub trait Handler: Send + 'static {
     /// The connection is gone (peer close, error, or server close).
     /// `midframe` reports an EOF with a partial frame pending.
     fn on_close(&mut self, conn: ConnId, midframe: bool, out: &mut Outbox);
-    /// Called once per loop iteration (at most every `tick` when idle) so
-    /// the handler can pump non-socket event sources such as session
-    /// subscriptions.
-    fn on_tick(&mut self, out: &mut Outbox);
     /// The wakeup pipe fired: whoever holds this reactor's
-    /// [`WakeupHandle`] asked for attention (for the serve layer, a
-    /// session queue drained and parked connections may retry).
+    /// [`WakeupHandle`] asked for attention (for the serve layer, session
+    /// events are ready to forward or a parked connection may retry).
+    /// This is the only way work from other threads reaches the handler.
     fn on_wakeup(&mut self, _out: &mut Outbox) {}
     /// Shutdown has begun: in-flight frames are already delivered, fds
     /// are still open, queued sends will be flushed before close.
@@ -504,6 +502,15 @@ where
     })
 }
 
+/// Prepares an accepted connection for small request/reply frames:
+/// disables Nagle's algorithm, so an ack or a position update leaves at
+/// once instead of waiting for the peer's delayed ACK (a ~40 ms floor on
+/// every round trip otherwise). Both serving front ends call this on every
+/// accepted socket.
+pub fn tune_accepted(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
+}
+
 const LISTENER_TOKEN: u64 = 0;
 const WAKEUP_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -561,7 +568,6 @@ struct Reactor<H: Handler> {
 
 impl<H: Handler> Reactor<H> {
     fn run(&mut self) -> io::Result<()> {
-        let tick_ms = self.config.tick.as_millis().min(i32::MAX as u128) as i32;
         let mut scratch = vec![0u8; self.config.read_buffer.max(1)];
         {
             let mut out = Outbox::default();
@@ -571,7 +577,8 @@ impl<H: Handler> Reactor<H> {
         }
         while !self.shutdown.load(Ordering::SeqCst) {
             let mut events = std::mem::take(&mut self.events);
-            self.poller.wait(&mut events, tick_ms)?;
+            // Block until a socket or the wakeup pipe is ready.
+            self.poller.wait(&mut events, -1)?;
             for ev in &events {
                 if ev.token == LISTENER_TOKEN {
                     self.accept_ready();
@@ -606,9 +613,6 @@ impl<H: Handler> Reactor<H> {
                 }
             }
             self.events = events;
-            let mut out = Outbox::default();
-            self.handler.on_tick(&mut out);
-            self.apply(out);
             self.flush_dirty();
         }
         self.run_shutdown(&mut scratch);
@@ -660,6 +664,8 @@ impl<H: Handler> Reactor<H> {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
+        // Best effort: without it replies are only slower.
+        let _ = tune_accepted(&stream);
         let token = self.next_token;
         self.next_token += 1;
         if self.poller.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
@@ -1046,4 +1052,19 @@ fn flush_conn(conn: &mut Conn, stats: &ReactorStats) -> FlushOutcome {
         }
     }
     FlushOutcome::Drained
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_have_nagle_disabled() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (server_side, _) = listener.accept().expect("accept");
+        assert!(!server_side.nodelay().unwrap(), "sockets start with Nagle on");
+        tune_accepted(&server_side).expect("tune");
+        assert!(server_side.nodelay().unwrap(), "TCP_NODELAY set on the server side");
+    }
 }

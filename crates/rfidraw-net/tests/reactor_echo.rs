@@ -50,8 +50,6 @@ impl Handler for Echo {
         }
     }
 
-    fn on_tick(&mut self, _out: &mut Outbox) {}
-
     fn on_shutdown(&mut self, out: &mut Outbox) {
         for &conn in &self.open {
             out.send(conn, b"{\"bye\":true}\n".to_vec());
@@ -267,8 +265,6 @@ impl Handler for GaugeProbe {
         let gauges = (stats.parked.load(Ordering::SeqCst), stats.open.load(Ordering::SeqCst));
         self.seen_at_close.lock().unwrap().push(gauges);
     }
-
-    fn on_tick(&mut self, _out: &mut Outbox) {}
 
     fn on_shutdown(&mut self, _out: &mut Outbox) {}
 }

@@ -155,7 +155,7 @@ pub enum FrontendMode {
 pub struct NetConfig {
     /// Which front end `Frontend::bind` starts.
     pub frontend: FrontendMode,
-    /// Reactor tuning (readiness backend, buffer sizes, frame caps, tick,
+    /// Reactor tuning (readiness backend, buffer sizes, frame caps,
     /// connection cap, shutdown flush budget). Ignored by the
     /// thread-per-connection front end.
     pub reactor: rfidraw_net::ReactorConfig,
@@ -195,20 +195,24 @@ pub struct ServeConfig {
     pub max_sessions: usize,
     /// Sessions with no ingest for this long (wall clock) are evicted.
     pub idle_timeout: Duration,
-    /// Worker threads draining session queues round-robin. `None` starts
-    /// no threads: the owner pumps manually via
+    /// Worker threads draining ready sessions from a FIFO ready queue
+    /// (each session at most `drain_batch` reads per turn, then back to
+    /// the tail). Workers sleep until a session is marked ready or the
+    /// idle sweep is due. `None` starts no threads: the owner pumps
+    /// manually via
     /// [`crate::TrackingService::pump`] (deterministic single-threaded
     /// mode, used by tests and benchmarks).
     pub workers: Option<Parallelism>,
-    /// Maximum reads drained from one session per round-robin visit. The
-    /// fairness knob: a hot tag yields the worker after this many reads so
-    /// it cannot starve other sessions.
+    /// Maximum reads drained from one session per turn at the head of
+    /// the ready queue. The fairness knob: a hot tag yields the worker
+    /// after this many reads so it cannot starve other sessions.
     pub drain_batch: usize,
     /// Registry shards. Sessions are placed by EPC hash and never
-    /// migrate; workers drain shard by shard without a global registry
-    /// lock. More shards cut lock contention with many concurrent
-    /// producers; 1 shard reproduces the old single-map behavior
-    /// (results are bit-identical either way).
+    /// migrate; session lookup and creation lock only the owning shard.
+    /// More shards cut lock contention with many concurrent producers;
+    /// 1 shard reproduces the old single-map behavior (results are
+    /// bit-identical either way). Draining does not walk the shards:
+    /// workers take sessions from the ready queue.
     ///
     /// # Panics
     /// [`crate::TrackingService::start`] panics when this is zero.

@@ -3,7 +3,8 @@
 //! This crate turns the streaming tracker (`rfidraw_core::online`) into a
 //! long-running service: many tags tracked concurrently, each behind a
 //! bounded ingest queue with an explicit backpressure policy, placed on an
-//! EPC-sharded registry, drained fairly by a small worker pool, observable
+//! EPC-sharded registry, drained fairly by a small worker pool that wakes
+//! only for sessions with queued reads, observable
 //! through runtime telemetry, and reachable in-process and over TCP. The
 //! TCP face is config-selectable ([`Frontend`]): the default
 //! readiness-driven reactor (`rfidraw-net`; one thread for all
@@ -34,10 +35,14 @@
 //! # Architecture
 //!
 //! ```text
-//!  producers ──ingest──▶ per-EPC bounded queues ──▶ worker pool (round
-//!  (reader HW,            (Reject / DropOldest /    robin, drain_batch
-//!   TCP clients,           Block)                   per visit)
+//!  producers ──ingest──▶ per-EPC bounded queues ──▶ FIFO ready queue
+//!  (reader HW,            (Reject / DropOldest /    (a session joins on
+//!   TCP clients,           Block)                   enqueue, at most once)
 //!   simulators)                                        │
+//!                                                      ▼
+//!                                        worker pool (drain_batch per
+//!                                        turn, re-queued if reads remain)
+//!                                                      │
 //!                                                      ▼
 //!                                        one OnlineTracker per session
 //!                                        (+ optional cursor state machine)
@@ -48,8 +53,10 @@
 //!
 //! Sessions are created lazily on first ingest/subscribe, capped at
 //! [`ServeConfig::max_sessions`], and evicted after
-//! [`ServeConfig::idle_timeout`] without ingest. The per-session queue +
-//! single-drainer claim preserve each tag's read order exactly, so the
+//! [`ServeConfig::idle_timeout`] without ingest (the sweep runs at the
+//! earliest instant a session can go idle, not on a timer). The
+//! per-session queue + single drainer preserve each tag's read order
+//! exactly, so the
 //! multiplexed service produces trajectories **bit-identical** to running
 //! one standalone [`rfidraw_core::online::OnlineTracker`] per tag — the
 //! crate's integration tests assert this for both the in-process client

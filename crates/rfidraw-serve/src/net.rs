@@ -165,6 +165,8 @@ impl WireServer {
                         return;
                     }
                     if let Ok(stream) = conn {
+                        // Best effort: without it replies are only slower.
+                        let _ = rfidraw_net::tune_accepted(&stream);
                         spawn_connection(stream, client.clone(), Arc::clone(&conn_stats));
                     }
                 }

@@ -4,8 +4,8 @@
 //! One reactor thread owns every connection (accept, framed reads,
 //! buffered writes); this module supplies the [`rfidraw_net::Handler`]
 //! that turns complete frames into [`crate::net::dispatch_request`] calls
-//! against the shared [`LocalClient`] and pumps session subscriptions
-//! back out on the reactor tick. Request handling is byte-for-byte the
+//! against the shared [`LocalClient`] and forwards session subscriptions
+//! back out as their events arrive. Request handling is byte-for-byte the
 //! same code path the thread-per-connection front end uses, so the two
 //! front ends cannot diverge semantically — the integration tests assert
 //! bit-identical trajectories across both and against standalone
@@ -38,6 +38,16 @@
 //! unparks. `Block` stays lossless per connection — every read is acked
 //! as accepted exactly once — while other connections keep flowing. See
 //! DESIGN.md §13 for the state machine.
+//!
+//! **Nothing is polled.** Each reactor owns one [`ReadyList`]. A wire
+//! subscription registers a notifier on its session that lists
+//! `(connection, subscription)` after each batch of events, and a parked
+//! connection's drain waiter lists the connection. The list pokes the
+//! reactor's wakeup pipe only when it goes from empty to non-empty, and
+//! `on_wakeup` serves exactly the listed entries. The granularity is one
+//! subscription, not one connection, because a gateway may multiplex
+//! every session on a single connection: marking that connection dirty
+//! would mean sweeping all of its subscriptions on every event.
 
 use crate::config::{FrontendMode, NetConfig};
 use crate::net::{
@@ -53,20 +63,60 @@ use rfidraw_net::{
     ReactorStats, WakeupHandle, WireMode,
 };
 use rfidraw_protocol::Epc;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+
+/// Work another thread hands the reactor thread.
+enum ReadyItem {
+    /// A subscription (connection token, subscription id) has events.
+    Sub(u64, u64),
+    /// A parked connection's session drained or closed: retry its stash.
+    Parked(u64),
+}
+
+/// One reactor's ready list (see the module docs).
+struct ReadyList {
+    items: Mutex<Vec<ReadyItem>>,
+    wakeup: WakeupHandle,
+}
+
+impl ReadyList {
+    fn push(&self, item: ReadyItem) {
+        let was_empty = {
+            let mut items = self.items.lock().expect("ready list lock");
+            items.push(item);
+            items.len() == 1
+        };
+        // A non-empty list already has a wakeup pending (or being served:
+        // the reactor drains the pipe before it takes the list).
+        if was_empty {
+            self.wakeup.notify();
+        }
+    }
+
+    fn take(&self) -> Vec<ReadyItem> {
+        std::mem::take(&mut *self.items.lock().expect("ready list lock"))
+    }
+}
 
 /// One live subscription being forwarded onto a connection.
 struct Sub {
     epc: Epc,
     rx: mpsc::Receiver<SessionEvent>,
+    /// Whether the subscription is on the ready list, so a burst of
+    /// batches lists it once. Cleared (by swap) before its channel is
+    /// drained, so events sent after the drain list it again.
+    listed: Arc<AtomicBool>,
 }
 
 /// A partially admitted `Block` ingest: the connection is parked and this
 /// carries everything needed to finish the batch as the session drains.
 struct PendingIngest {
+    /// The parked connection's token.
+    conn: u64,
     epc: Epc,
     session: Arc<SessionShared>,
     reads: Vec<PhaseRead>,
@@ -89,7 +139,8 @@ impl PendingIngest {
 struct ConnState {
     /// Negotiated protocol; `Unknown` until the first complete frame.
     mode: WireMode,
-    subs: Vec<Sub>,
+    /// Live subscriptions by id (ids grow, so this is subscribe order).
+    subs: BTreeMap<u64, Sub>,
     /// The stash of a parked connection's partially admitted ingest.
     /// `Some` exactly while the reactor has the connection parked.
     pending: Option<PendingIngest>,
@@ -114,14 +165,14 @@ fn encode_for(mode: WireMode, msg: &Message) -> Vec<u8> {
 /// the batch fully resolved (the merged ack may be sent).
 ///
 /// The arm-then-retry protocol closes the obvious race: after a `Full`
-/// round, one drain waiter (a wakeup-pipe poke) is armed on the session
-/// and the enqueue retried once more — a drain that landed between the
-/// failed attempt and the arm is caught by the retry, one that lands
-/// after the arm fires the waiter. Spurious wakeups just re-run this and
-/// park again.
+/// round, one drain waiter (listing the connection on the ready list) is
+/// armed on the session and the enqueue retried once more — a drain that
+/// landed between the failed attempt and the arm is caught by the retry,
+/// one that lands after the arm fires the waiter. Spurious firings just
+/// re-run this and park again.
 fn advance_pending(
     client: &LocalClient,
-    wakeup: Option<&WakeupHandle>,
+    ready: Option<&Arc<ReadyList>>,
     p: &mut PendingIngest,
     initial: bool,
 ) -> bool {
@@ -144,9 +195,11 @@ fn advance_pending(
                 if armed {
                     break false;
                 }
-                let Some(wakeup) = wakeup else { break false };
-                let wh = wakeup.clone();
-                p.session.register_drain_waiter(Box::new(move || wh.notify()));
+                let Some(ready) = ready else { break false };
+                let (ready, conn) = (Arc::clone(ready), p.conn);
+                p.session.register_drain_waiter(Box::new(move || {
+                    ready.push(ReadyItem::Parked(conn));
+                }));
                 armed = true;
             }
         }
@@ -158,7 +211,7 @@ fn advance_pending(
         g.parked_rejected.add(p.receipt.rejected - rejected_before);
     }
     if p.receipt.accepted > accepted_before {
-        client.notify_work();
+        client.mark_ready(&p.session);
     }
     done
 }
@@ -167,14 +220,39 @@ fn advance_pending(
 struct ServeHandler {
     client: LocalClient,
     conns: HashMap<u64, ConnState>,
-    /// This reactor's wakeup pipe (from `on_start`); drain waiters clone
-    /// it to signal re-admission room for parked connections.
-    wakeup: Option<WakeupHandle>,
+    /// This reactor's ready list, built around its wakeup pipe in
+    /// `on_start` (before any connection exists).
+    ready: Option<Arc<ReadyList>>,
+    /// The next subscription id.
+    next_sub: u64,
 }
 
 impl ServeHandler {
     fn new(client: LocalClient) -> Self {
-        Self { client, conns: HashMap::new(), wakeup: None }
+        Self { client, conns: HashMap::new(), ready: None, next_sub: 0 }
+    }
+
+    /// Opens a wire subscription whose session lists it on this reactor's
+    /// ready list after each batch of events.
+    fn handle_subscribe(&mut self, conn: ConnId, epc: Epc, mode: WireMode, out: &mut Outbox) {
+        let (Some(ready), Some(state)) = (&self.ready, self.conns.get_mut(&conn.0)) else {
+            return;
+        };
+        let id = self.next_sub;
+        self.next_sub += 1;
+        let listed = Arc::new(AtomicBool::new(false));
+        let (ready, flag) = (Arc::clone(ready), Arc::clone(&listed));
+        let notify = Box::new(move || {
+            if !flag.swap(true, Ordering::AcqRel) {
+                ready.push(ReadyItem::Sub(conn.0, id));
+            }
+        });
+        match self.client.subscribe_notify(epc, notify) {
+            Ok(rx) => {
+                state.subs.insert(id, Sub { epc, rx, listed });
+            }
+            Err(e) => out.send(conn, encode_for(mode, &Message::Error(serve_error(&e)))),
+        }
     }
 
     /// Ingest on the reactor path: validate, then admit without ever
@@ -193,13 +271,14 @@ impl ServeHandler {
             }
         };
         let mut pending = PendingIngest {
+            conn: conn.0,
             epc: batch.epc,
             session,
             reads: batch.reads,
             next: 0,
             receipt: IngestReceipt::default(),
         };
-        if advance_pending(&self.client, self.wakeup.as_ref(), &mut pending, true) {
+        if advance_pending(&self.client, self.ready.as_ref(), &mut pending, true) {
             let ack = IngestAck::from_receipt(pending.epc, pending.receipt);
             out.send(conn, encode_for(mode, &Message::IngestAck(ack)));
             return;
@@ -217,12 +296,12 @@ impl ServeHandler {
             None => pending.session.note_parked_discarded(stashed, self.client.metrics()),
         }
     }
-    /// Drains ready subscription events for one connection. Returns the
-    /// frames to send; a `Closed` event retires its subscription.
-    fn pump_conn(state: &mut ConnState) -> Vec<Vec<u8>> {
-        let mode = state.mode;
-        let mut frames = Vec::new();
-        state.subs.retain_mut(|sub| loop {
+    /// Forwards a subscription's pending events as frames. Returns
+    /// `false` once the subscription has ended (a `Closed` event, or the
+    /// service went away).
+    fn pump_sub(mode: WireMode, sub: &Sub, frames: &mut Vec<Vec<u8>>) -> bool {
+        sub.listed.swap(false, Ordering::AcqRel);
+        loop {
             match sub.rx.try_recv() {
                 Ok(SessionEvent::Position { epc, t, pos }) => {
                     frames.push(encode_for(
@@ -259,14 +338,27 @@ impl ServeHandler {
                     return false;
                 }
             }
-        });
-        frames
+        }
+    }
+
+    /// Re-runs admission for a parked connection's stash; on completion
+    /// sends the held ack and unparks.
+    fn retry_parked(&mut self, conn: u64, out: &mut Outbox) {
+        let Some(state) = self.conns.get_mut(&conn) else { return };
+        let Some(mut p) = state.pending.take() else { return };
+        if advance_pending(&self.client, self.ready.as_ref(), &mut p, false) {
+            let ack = IngestAck::from_receipt(p.epc, p.receipt);
+            out.send(ConnId(conn), encode_for(state.mode, &Message::IngestAck(ack)));
+            out.unpark(ConnId(conn));
+        } else {
+            state.pending = Some(p);
+        }
     }
 }
 
 impl rfidraw_net::Handler for ServeHandler {
     fn on_start(&mut self, wakeup: WakeupHandle, _out: &mut Outbox) {
-        self.wakeup = Some(wakeup);
+        self.ready = Some(Arc::new(ReadyList { items: Mutex::new(Vec::new()), wakeup }));
     }
 
     fn on_open(&mut self, conn: ConnId, _out: &mut Outbox) {
@@ -291,24 +383,16 @@ impl rfidraw_net::Handler for ServeHandler {
             }
         };
         // Ingest takes the non-blocking admission path (it may park this
-        // connection); everything else shares the blocking dispatcher
-        // with the thread-per-connection front end.
-        if let Message::Ingest(batch) = msg {
-            self.handle_ingest(conn, batch, mode, out);
-            return;
-        }
-        let sub_epc = match &msg {
-            Message::Subscribe(s) => Some(s.epc),
-            _ => None,
-        };
-        match dispatch_request(&self.client, msg) {
-            Dispatch::Reply(reply) => out.send(conn, encode_for(mode, &reply)),
-            Dispatch::Subscribed(rx) => {
-                let epc = sub_epc.expect("Subscribed dispatch only from Subscribe");
-                if let Some(state) = self.conns.get_mut(&conn.0) {
-                    state.subs.push(Sub { epc, rx });
-                }
-            }
+        // connection) and subscriptions get a ready-list notifier;
+        // everything else shares the blocking dispatcher with the
+        // thread-per-connection front end.
+        match msg {
+            Message::Ingest(batch) => self.handle_ingest(conn, batch, mode, out),
+            Message::Subscribe(sub) => self.handle_subscribe(conn, sub.epc, mode, out),
+            msg => match dispatch_request(&self.client, msg) {
+                Dispatch::Reply(reply) => out.send(conn, encode_for(mode, &reply)),
+                Dispatch::Subscribed(_) => unreachable!("subscriptions are handled above"),
+            },
         }
     }
 
@@ -345,26 +429,24 @@ impl rfidraw_net::Handler for ServeHandler {
     }
 
     fn on_wakeup(&mut self, out: &mut Outbox) {
-        // A drain waiter (or any other wakeup) fired: retry every parked
-        // stash. Wakeups are collapsed by the pipe, so one firing may
-        // stand for several drains — retrying all stashes is the cheap,
-        // correct response; those still blocked re-arm and stay parked.
-        for (&token, state) in self.conns.iter_mut() {
-            let Some(mut p) = state.pending.take() else { continue };
-            if advance_pending(&self.client, self.wakeup.as_ref(), &mut p, false) {
-                let ack = IngestAck::from_receipt(p.epc, p.receipt);
-                out.send(ConnId(token), encode_for(state.mode, &Message::IngestAck(ack)));
-                out.unpark(ConnId(token));
-            } else {
-                state.pending = Some(p);
-            }
-        }
-    }
-
-    fn on_tick(&mut self, out: &mut Outbox) {
-        for (&token, state) in self.conns.iter_mut() {
-            for frame in Self::pump_conn(state) {
-                out.send(ConnId(token), frame);
+        // Serve exactly what was listed. Entries for connections or
+        // subscriptions that have gone since are skipped; a parked
+        // connection whose retry is still blocked re-arms and stays parked.
+        let Some(ready) = &self.ready else { return };
+        let mut frames = Vec::new();
+        for item in ready.take() {
+            match item {
+                ReadyItem::Sub(conn, id) => {
+                    let Some(state) = self.conns.get_mut(&conn) else { continue };
+                    let Some(sub) = state.subs.get(&id) else { continue };
+                    if !Self::pump_sub(state.mode, sub, &mut frames) {
+                        state.subs.remove(&id);
+                    }
+                    for frame in frames.drain(..) {
+                        out.send(ConnId(conn), frame);
+                    }
+                }
+                ReadyItem::Parked(conn) => self.retry_parked(conn, out),
             }
         }
     }
@@ -375,11 +457,13 @@ impl rfidraw_net::Handler for ServeHandler {
         // write buffers. Drain every subscription one last time, then
         // announce the shutdown on each still-open subscription so no
         // client is left waiting on a stream that will never end.
+        let mut frames = Vec::new();
         for (&token, state) in self.conns.iter_mut() {
-            for frame in Self::pump_conn(state) {
+            state.subs.retain(|_, sub| Self::pump_sub(state.mode, sub, &mut frames));
+            for frame in frames.drain(..) {
                 out.send(ConnId(token), frame);
             }
-            for sub in state.subs.drain(..) {
+            for (_, sub) in std::mem::take(&mut state.subs) {
                 out.send(
                     ConnId(token),
                     encode_for(

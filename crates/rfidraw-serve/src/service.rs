@@ -8,27 +8,45 @@
 //! tracker from the configured template — and die by idle timeout,
 //! explicit close, or shutdown.
 //!
-//! **Fairness & determinism.** Workers drain sessions round-robin, at most
-//! `drain_batch` reads per visit, so a hot tag cannot starve the rest. A
-//! per-session claim flag makes take-batch + process atomic with respect
-//! to other workers, which keeps each session's read order exactly the
+//! **Event-driven draining.** Every enqueue that accepts a read marks its
+//! session ready: the session joins a FIFO ready queue (at most once, by
+//! its `queued` flag) and one sleeping worker is woken. A worker takes the
+//! session at the head, drains at most `drain_batch` reads, and puts it
+//! back at the tail if reads remain, so a hot tag cannot starve the rest
+//! and idle sessions cost nothing. The idle sweep runs at a deadline — the
+//! earliest instant a session can go idle — not on a heartbeat.
+//!
+//! **Ready-queue invariant.** A session with queued reads is in the ready
+//! queue or held by the one worker draining it. The worker clears
+//! `queued` only after releasing the session, then re-checks the queue
+//! depth; a producer enqueues under the queue lock and then swaps `queued`
+//! to `true`. Both flag accesses are `SeqCst` read-modify-writes, so
+//! either the producer's swap comes last and sees `false` (it queues the
+//! session), or the worker's swap reads the producer's `true` and
+//! synchronizes with it, so its depth check sees the read and re-queues
+//! the session. No read is stranded.
+//!
+//! **Determinism.** A session is in the queue at most once and leaves the
+//! `queued` state only after its drain finished, so it has at most one
+//! drainer at a time. That keeps each session's read order exactly the
 //! ingest order — multiplexing many tags through the service changes
 //! *scheduling*, never *results* (enforced bit-for-bit by the crate's
 //! integration tests).
 
 use crate::config::ServeConfig;
 use crate::registry::ShardedRegistry;
-use crate::session::{CloseReason, IngestReceipt, SessionEvent, SessionShared};
+use crate::session::{CloseReason, IngestReceipt, Notify, SessionEvent, SessionShared};
 use crate::telemetry::{GlobalMetrics, NetTelemetry, TelemetryReport};
 use rfidraw_core::geom::Point2;
 use rfidraw_core::obs::Stage;
 use rfidraw_core::stream::PhaseRead;
 use rfidraw_metrics::{TraceDump, TraceRecorder};
 use rfidraw_protocol::Epc;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Errors the service surfaces to clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,23 +94,27 @@ pub struct SessionView {
     pub subscribers: usize,
 }
 
+/// The workers' shared scheduling state (see the module docs).
+struct Ready {
+    /// Sessions with reads to drain, oldest first, each at most once.
+    sessions: VecDeque<Arc<SessionShared>>,
+    /// When the next idle sweep is due: never later than the earliest
+    /// instant a live session can go idle.
+    next_sweep: Instant,
+}
+
 struct ServiceInner {
     cfg: ServeConfig,
     /// EPC-sharded session registry (see [`crate::registry`]): sessions
-    /// are placed by EPC hash and never migrate; drain passes lock one
-    /// shard at a time instead of a global map.
+    /// are placed by EPC hash and never migrate; lookups and inserts lock
+    /// one shard instead of a global map.
     registry: ShardedRegistry,
-    /// Workers park here when every queue is empty.
+    ready: Mutex<Ready>,
+    /// Workers sleep here until a session is marked ready, the sweep is
+    /// due, or the service shuts down.
     work: Condvar,
-    /// Parking spot for the worker condvar (the registry has no single
-    /// lock anymore, so the condvar gets its own).
-    park: Mutex<()>,
     global: GlobalMetrics,
     shutdown: AtomicBool,
-    /// Round-robin *shard* start offset, advanced per drain round so
-    /// successive rounds (and concurrent workers) begin at different
-    /// shards.
-    rr: AtomicUsize,
     /// Network front-end counter blocks registered by `Frontend::bind`,
     /// folded into every telemetry snapshot.
     net_sources: Mutex<Vec<Arc<rfidraw_net::ReactorStats>>>,
@@ -129,19 +151,71 @@ impl ServiceInner {
         }
     }
 
-    /// One work-conserving pass over every shard (rotating the starting
-    /// shard per round); returns reads processed.
-    fn drain_round(&self) -> usize {
-        let start = self.rr.fetch_add(1, Ordering::Relaxed) % self.registry.shard_count();
-        self.registry.drain_round(start, self.cfg.drain_batch, &self.global)
+    fn ready(&self) -> std::sync::MutexGuard<'_, Ready> {
+        self.ready.lock().expect("ready lock")
+    }
+
+    /// Queues `session` for draining unless it is already queued, and
+    /// wakes one worker.
+    fn mark_ready(&self, session: &Arc<SessionShared>) {
+        if !session.queued.swap(true, Ordering::SeqCst) {
+            self.ready().sessions.push_back(Arc::clone(session));
+            self.work.notify_one();
+        }
+    }
+
+    /// Drains one session taken from the ready queue: at most
+    /// `drain_batch` reads, then back to the tail if reads remain. Returns
+    /// reads processed.
+    fn drain_ready(&self, session: Arc<SessionShared>) -> usize {
+        // Queued sessions have one drainer (see the module docs), so the
+        // claim only tells the idle sweep and `quiesce` to keep off.
+        let was_claimed = session.claimed.swap(true, Ordering::AcqRel);
+        debug_assert!(!was_claimed, "a ready session has one drainer");
+        let processed = session.drain(self.cfg.drain_batch, &self.global);
+        self.registry.note_drain(session.epc, processed);
+        session.claimed.store(false, Ordering::Release);
+        session.queued.swap(false, Ordering::SeqCst);
+        if session.queue_depth() > 0 {
+            self.mark_ready(&session);
+        } else if session.idle_for() >= self.cfg.idle_timeout && !session.is_closed() {
+            // The sweep skipped it while it was busy: sweep again now.
+            self.ready().next_sweep = Instant::now();
+        }
+        processed
+    }
+
+    /// Runs the idle sweep if it is due.
+    fn sweep_if_due(&self) {
+        let now = Instant::now();
+        {
+            let mut ready = self.ready();
+            if ready.next_sweep > now {
+                return;
+            }
+            ready.next_sweep = later(now, self.cfg.idle_timeout);
+        }
+        let next = self.sweep_idle();
+        let mut ready = self.ready();
+        // A drain may have asked for an earlier sweep meanwhile.
+        ready.next_sweep = ready.next_sweep.min(next);
     }
 
     /// Evicts sessions whose last ingest is older than the idle timeout.
-    fn sweep_idle(&self) {
-        for s in self.registry.take_idle(self.cfg.idle_timeout) {
-            s.close(CloseReason::Idle, &self.global);
+    /// Returns when the next sweep is due: the earliest instant a
+    /// remaining session can go idle, and never later than one timeout
+    /// from now (a session created after this sweep goes idle no sooner).
+    fn sweep_idle(&self) -> Instant {
+        let now = Instant::now();
+        let (evicted, next) = self.registry.take_idle(self.cfg.idle_timeout);
+        // Count before closing: the close is what subscribers observe, so
+        // the books must already show it.
+        for s in evicted {
             self.global.sessions_evicted.inc();
+            s.close(CloseReason::Idle, &self.global);
         }
+        let bound = later(now, self.cfg.idle_timeout);
+        next.map_or(bound, |n| n.min(bound))
     }
 
     /// Wire-boundary refusal accounting: a batch of `total` reads was
@@ -162,10 +236,6 @@ impl ServiceInner {
                 invalid as f64,
             );
         }
-    }
-
-    fn has_pending(&self) -> bool {
-        self.registry.has_pending()
     }
 
     fn telemetry(&self) -> TelemetryReport {
@@ -246,10 +316,8 @@ impl LocalClient {
             self.inner.cfg.backpressure,
             self.inner.cfg.queue_capacity,
             &self.inner.global,
+            &|| self.inner.mark_ready(&session),
         );
-        if receipt.accepted > 0 {
-            self.inner.work.notify_all();
-        }
         Ok(receipt)
     }
 
@@ -258,7 +326,19 @@ impl LocalClient {
     /// last.
     pub fn subscribe(&self, epc: Epc) -> Result<mpsc::Receiver<SessionEvent>, ServeError> {
         let session = self.inner.get_or_create(epc)?;
-        Ok(session.subscribe())
+        Ok(session.subscribe(None))
+    }
+
+    /// [`subscribe`](Self::subscribe) plus a notifier the session calls
+    /// after each batch of events it sends (the reactor front end lists
+    /// the subscription as ready with it).
+    pub(crate) fn subscribe_notify(
+        &self,
+        epc: Epc,
+        notify: Notify,
+    ) -> Result<mpsc::Receiver<SessionEvent>, ServeError> {
+        let session = self.inner.get_or_create(epc)?;
+        Ok(session.subscribe(Some(notify)))
     }
 
     /// Closes a session explicitly; returns whether it existed. Anything
@@ -266,8 +346,8 @@ impl LocalClient {
     pub fn close_session(&self, epc: Epc) -> bool {
         match self.inner.registry.remove(epc) {
             Some(s) => {
-                s.close(CloseReason::Explicit, &self.inner.global);
                 self.inner.global.sessions_closed.inc();
+                s.close(CloseReason::Explicit, &self.inner.global);
                 true
             }
             None => false,
@@ -335,10 +415,11 @@ impl LocalClient {
         &self.inner.cfg
     }
 
-    /// Wakes parked workers after an out-of-band admission (the reactor's
-    /// non-blocking ingest path enqueues without going through `ingest`).
-    pub(crate) fn notify_work(&self) {
-        self.inner.work.notify_all();
+    /// Marks a session ready after an out-of-band admission (the
+    /// reactor's non-blocking ingest path enqueues without going through
+    /// `ingest`).
+    pub(crate) fn mark_ready(&self, session: &Arc<SessionShared>) {
+        self.inner.mark_ready(session);
     }
 
     /// Records a wire-validation refusal without touching the session
@@ -376,14 +457,14 @@ impl TrackingService {
         let worker_count = cfg.workers.map(|p| p.thread_count()).unwrap_or(0);
         let recorder = cfg.observability.as_ref().map(|s| Arc::new(TraceRecorder::new(s.clone())));
         let registry = ShardedRegistry::new(cfg.shards);
+        let next_sweep = later(Instant::now(), cfg.idle_timeout);
         let inner = Arc::new(ServiceInner {
             cfg,
             registry,
+            ready: Mutex::new(Ready { sessions: VecDeque::new(), next_sweep }),
             work: Condvar::new(),
-            park: Mutex::new(()),
             global: GlobalMetrics::new(recorder),
             shutdown: AtomicBool::new(false),
-            rr: AtomicUsize::new(0),
             net_sources: Mutex::new(Vec::new()),
         });
         let workers = (0..worker_count)
@@ -403,13 +484,15 @@ impl TrackingService {
         LocalClient { inner: Arc::clone(&self.inner) }
     }
 
-    /// Runs one drain round plus an idle sweep on the calling thread;
-    /// returns the number of reads processed. This is the processing
+    /// Drains each session that is ready when the call starts once (at
+    /// most `drain_batch` reads each), then runs the idle sweep if it is
+    /// due; returns the number of reads processed. This is the processing
     /// engine in manual mode (`workers: None`) and is also safe alongside
-    /// worker threads (the claim flag arbitrates).
+    /// worker threads (each ready session has one drainer).
     pub fn pump(&self) -> usize {
-        let n = self.inner.drain_round();
-        self.inner.sweep_idle();
+        let ready = std::mem::take(&mut self.inner.ready().sessions);
+        let n = ready.into_iter().map(|s| self.inner.drain_ready(s)).sum();
+        self.inner.sweep_if_due();
         n
     }
 
@@ -418,7 +501,7 @@ impl TrackingService {
     pub fn quiesce(&self) {
         loop {
             if self.workers.is_empty() {
-                while self.inner.drain_round() > 0 {}
+                while self.pump() > 0 {}
             }
             let busy = self
                 .inner
@@ -442,6 +525,10 @@ impl TrackingService {
 impl Drop for TrackingService {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
+        // A worker checks the flag under the ready lock before it sleeps:
+        // taking the lock here orders the store before that check or
+        // after the sleep began, so the wakeup below is never lost.
+        drop(self.inner.ready());
         self.inner.work.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -449,27 +536,40 @@ impl Drop for TrackingService {
         // Close every remaining session: unblocks producers, tells
         // subscribers the stream is over.
         for s in self.inner.registry.drain_all() {
-            s.close(CloseReason::Shutdown, &self.inner.global);
             self.inner.global.sessions_closed.inc();
+            s.close(CloseReason::Shutdown, &self.inner.global);
         }
     }
 }
 
 fn worker_loop(inner: &ServiceInner) {
+    let mut ready = inner.ready();
     loop {
         if inner.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let processed = inner.drain_round();
-        inner.sweep_idle();
-        if processed == 0 && !inner.has_pending() {
-            let guard = inner.park.lock().expect("park lock");
-            // Short timeout: wakes double as the idle-eviction heartbeat
-            // and the shutdown re-check.
-            let _ = inner
-                .work
-                .wait_timeout(guard, Duration::from_millis(2))
-                .expect("park lock");
+        // The sweep goes first so a queue that never empties cannot
+        // postpone eviction.
+        let now = Instant::now();
+        if ready.next_sweep <= now {
+            drop(ready);
+            inner.sweep_if_due();
+            ready = inner.ready();
+            continue;
         }
+        if let Some(session) = ready.sessions.pop_front() {
+            drop(ready);
+            inner.drain_ready(session);
+            ready = inner.ready();
+            continue;
+        }
+        let wait = ready.next_sweep - now;
+        ready = inner.work.wait_timeout(ready, wait).expect("ready lock").0;
     }
+}
+
+/// `from + after`, saturating far in the future instead of overflowing
+/// (an idle timeout of `Duration::MAX` means "never").
+fn later(from: Instant, after: Duration) -> Instant {
+    from.checked_add(after).unwrap_or_else(|| from + Duration::from_secs(u64::from(u32::MAX)))
 }

@@ -2,9 +2,10 @@
 //! cursor state machine), subscribers, and counters.
 //!
 //! A session is shared between producers (ingest / subscribe), one worker
-//! at a time (the `claimed` flag serializes draining, which is what keeps
-//! per-session read order — and therefore results — identical to a
-//! standalone tracker), and the registry (idle eviction). The queue and
+//! at a time (the service's ready queue hands a session to one drainer at
+//! a time, which is what keeps per-session read order — and therefore
+//! results — identical to a standalone tracker), and the registry (idle
+//! eviction). The queue and
 //! the tracker sit behind *separate* locks so ingest never waits for a
 //! tracker tick: producers only touch the queue lock, workers hold the
 //! engine lock only while processing an already-taken batch.
@@ -131,6 +132,30 @@ struct Engine {
     cursor: Option<CursorTracker>,
 }
 
+/// A notifier a subscriber registers beside its channel: called once
+/// after each batch of events is sent to it (the reactor front end uses
+/// it to list the subscription as ready instead of polling its channel).
+pub(crate) type Notify = Box<dyn Fn() + Send>;
+
+struct Subscriber {
+    /// `None` only while dropping (see the `Drop` impl).
+    tx: Option<mpsc::Sender<SessionEvent>>,
+    notify: Option<Notify>,
+}
+
+impl Drop for Subscriber {
+    /// A subscriber dropped with its session (say, one closed before the
+    /// subscription registered, so it never saw `Closed`) disconnects its
+    /// channel, then notifies: a reader woken by that sees the end of the
+    /// stream, not an empty channel.
+    fn drop(&mut self) {
+        self.tx = None;
+        if let Some(notify) = &self.notify {
+            notify();
+        }
+    }
+}
+
 /// What a non-blocking enqueue attempt produced (see
 /// [`SessionShared::try_enqueue`]).
 #[derive(Debug)]
@@ -157,12 +182,16 @@ pub(crate) struct SessionShared {
     /// One-shot callbacks fired when queue space frees or the session
     /// closes — the async face of `space`, armed by the reactor front end
     /// for parked connections (each waiter pokes a reactor wakeup pipe).
-    drain_waiters: Mutex<Vec<Box<dyn Fn() + Send>>>,
+    drain_waiters: Mutex<Vec<Notify>>,
     engine: Mutex<Engine>,
-    subscribers: Mutex<Vec<mpsc::Sender<SessionEvent>>>,
-    /// Exactly one worker may drain at a time; claiming take+process as a
-    /// unit preserves the per-session read order.
+    subscribers: Mutex<Vec<Subscriber>>,
+    /// Set while a worker drains the session (idle eviction and
+    /// `quiesce` skip claimed sessions).
     pub(crate) claimed: AtomicBool,
+    /// Set while the session sits in the service's ready queue or is
+    /// being drained from it, so it is queued at most once. Owned by the
+    /// service (`ServiceInner::mark_ready`, `drain_ready`).
+    pub(crate) queued: AtomicBool,
     closed: AtomicBool,
     last_activity: Mutex<Instant>,
     pub(crate) metrics: SessionMetrics,
@@ -181,6 +210,7 @@ impl SessionShared {
             }),
             subscribers: Mutex::new(Vec::new()),
             claimed: AtomicBool::new(false),
+            queued: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             last_activity: Mutex::new(Instant::now()),
             metrics: SessionMetrics::default(),
@@ -196,7 +226,12 @@ impl SessionShared {
     }
 
     pub fn idle_for(&self) -> Duration {
-        self.last_activity.lock().expect("activity lock").elapsed()
+        self.last_activity().elapsed()
+    }
+
+    /// When the session last accepted a read (or was created).
+    pub fn last_activity(&self) -> Instant {
+        *self.last_activity.lock().expect("activity lock")
     }
 
     fn touch(&self) {
@@ -205,18 +240,26 @@ impl SessionShared {
 
     /// Enqueues a batch under the configured policy, counting every
     /// decision in both the session and global metrics.
+    ///
+    /// `ready` marks the session ready for draining. It runs once the
+    /// batch accepted anything, and before every `Block` wait on a full
+    /// queue, so a producer never sleeps on reads no worker knows about.
     pub fn enqueue(
         &self,
         reads: &[PhaseRead],
         policy: BackpressurePolicy,
         capacity: usize,
         global: &GlobalMetrics,
+        ready: &dyn Fn(),
     ) -> IngestReceipt {
         let mut receipt = IngestReceipt::default();
         for &read in reads {
-            receipt.merge(self.enqueue_one(read, policy, capacity));
+            receipt.merge(self.enqueue_one(read, policy, capacity, ready));
         }
         self.settle_receipt(receipt, global);
+        if receipt.accepted > 0 {
+            ready();
+        }
         receipt
     }
 
@@ -320,7 +363,7 @@ impl SessionShared {
     /// more `try_enqueue`), so a drain that lands between their first
     /// failed attempt and the arm is never lost; spurious firings are
     /// harmless.
-    pub(crate) fn register_drain_waiter(&self, waiter: Box<dyn Fn() + Send>) {
+    pub(crate) fn register_drain_waiter(&self, waiter: Notify) {
         let mut waiters = self.drain_waiters.lock().expect("drain waiters lock");
         if self.is_closed() {
             drop(waiters);
@@ -367,6 +410,7 @@ impl SessionShared {
         read: PhaseRead,
         policy: BackpressurePolicy,
         capacity: usize,
+        ready: &dyn Fn(),
     ) -> IngestReceipt {
         let mut q = self.queue.lock().expect("queue lock");
         loop {
@@ -387,6 +431,9 @@ impl SessionShared {
                     return IngestReceipt { accepted: 1, dropped: 1, ..Default::default() };
                 }
                 BackpressurePolicy::Block => {
+                    // The full queue may hold this batch's own reads:
+                    // announce them before sleeping on their drain.
+                    ready();
                     // Timeout so a producer re-checks `closed` even if it
                     // raced a close that fired before this wait began.
                     let (guard, _timeout) = self
@@ -526,16 +573,16 @@ impl SessionShared {
         }
         self.metrics.processed.add(processed as u64);
         global.processed.add(processed as u64);
-        for e in out_events {
-            self.broadcast(e);
-        }
+        self.broadcast(out_events);
         processed
     }
 
-    /// Registers an in-process subscriber.
-    pub fn subscribe(&self) -> mpsc::Receiver<SessionEvent> {
+    /// Registers a subscriber; `notify` (if any) runs after each batch of
+    /// events sent to it.
+    pub fn subscribe(&self, notify: Option<Notify>) -> mpsc::Receiver<SessionEvent> {
         let (tx, rx) = mpsc::channel();
-        self.subscribers.lock().expect("subscribers lock").push(tx);
+        let sub = Subscriber { tx: Some(tx), notify };
+        self.subscribers.lock().expect("subscribers lock").push(sub);
         rx
     }
 
@@ -545,9 +592,23 @@ impl SessionShared {
         self.subscribers.lock().expect("subscribers lock").len()
     }
 
-    fn broadcast(&self, event: SessionEvent) {
+    /// Sends `events`, in order, to every subscriber and notifies each
+    /// once. A subscriber whose receiver is gone is dropped.
+    fn broadcast(&self, events: Vec<SessionEvent>) {
+        if events.is_empty() {
+            return;
+        }
         let mut subs = self.subscribers.lock().expect("subscribers lock");
-        subs.retain(|tx| tx.send(event.clone()).is_ok());
+        subs.retain(|sub| {
+            let Some(tx) = &sub.tx else { return false };
+            if !events.iter().all(|e| tx.send(e.clone()).is_ok()) {
+                return false;
+            }
+            if let Some(notify) = &sub.notify {
+                notify();
+            }
+            true
+        });
     }
 
     /// Marks the session closed: discards (and counts) anything still
@@ -572,7 +633,7 @@ impl SessionShared {
         // lands in the vector before this take (and fires here) or sees
         // the flag and fires immediately — never stranded.
         self.fire_drain_waiters();
-        self.broadcast(SessionEvent::Closed { epc: self.epc, reason });
+        self.broadcast(vec![SessionEvent::Closed { epc: self.epc, reason }]);
     }
 
     /// The session's trajectory so far (the tracker's best candidate).

@@ -365,3 +365,50 @@ fn hot_tag_cannot_starve_other_sessions() {
     let hot_t = report.sessions.iter().find(|s| s.epc == hot).unwrap();
     assert!(hot_t.reads_processed <= 8);
 }
+
+#[test]
+fn idle_sessions_cost_no_drain_work() {
+    // Workers wake only for sessions marked ready: with 500 registered,
+    // drained sessions and no ingest, nothing may be drained at all.
+    let mut cfg = ServeConfig::new(template());
+    cfg.workers = Some(Parallelism::Threads(2));
+    cfg.max_sessions = 500;
+    let service = TrackingService::start(cfg);
+    let client = service.client();
+    for i in 0..500 {
+        client.ingest(Epc::from_index(i + 1), &synth_reads(1, 0.0)).unwrap();
+    }
+    service.quiesce();
+
+    let work = |r: &rfidraw_serve::TelemetryReport| {
+        (r.shards.iter().map(|s| s.drain_visits).sum::<u64>(), r.reads_processed)
+    };
+    let before = service.telemetry();
+    assert_eq!(before.active_sessions, 500);
+    assert_eq!(before.reads_processed, 500);
+    std::thread::sleep(Duration::from_millis(100));
+    let after = service.telemetry();
+    assert_eq!(work(&after), work(&before), "idle sessions were visited with no ingest");
+}
+
+#[test]
+fn overdue_session_is_evicted_as_soon_as_its_queue_drains() {
+    // A session past its idle timeout with reads still queued is skipped
+    // by the sweep, which then sleeps a whole timeout. Finishing the drain
+    // must bring the sweep forward instead of leaving the session a
+    // further timeout.
+    let mut cfg = manual_cfg(BackpressurePolicy::Block, 64);
+    cfg.idle_timeout = Duration::from_millis(50);
+    cfg.drain_batch = 1;
+    let service = TrackingService::start(cfg);
+    let client = service.client();
+    let epc = Epc::from_index(1);
+    client.ingest(epc, &synth_reads(2, 0.0)).unwrap();
+    std::thread::sleep(Duration::from_millis(60));
+
+    assert_eq!(service.pump(), 1, "one read per turn");
+    assert_eq!(client.active_sessions(), vec![epc], "busy sessions are not evicted");
+    assert_eq!(service.pump(), 1);
+    assert!(client.active_sessions().is_empty(), "evicted once its queue drained");
+    assert_eq!(service.telemetry().sessions_evicted, 1);
+}

@@ -144,7 +144,7 @@ cargo test --release --offline -q -p rfidraw-serve --test reactor_service
 cargo test --release --offline -q -p rfidraw-serve --test reactor_service \
     mixed_protocol_sessions_are_equivalent_and_conserve
 
-echo "== tier 2: backpressure parking =="
+echo "== tier 2: backpressure parking and event-driven scheduling =="
 # The reactor-stall regression and the parking lifecycle (DESIGN.md §13):
 # a parked Block connection must not stall other connections, re-admission
 # must preserve order bit-for-bit, and mid-park teardown (peer or session)
@@ -154,12 +154,17 @@ echo "== tier 2: backpressure parking =="
 # suite runs 20 times in a row: its teardown test once flaked about one
 # run in nine (the reactor dropped the parked gauge before the handler
 # booked the discarded stash), and a race that rare only shows up in a
-# loop.
+# loop. The event-driven scheduling suites ride in the same loop: workers
+# and the reactor act only on ready queues, so a lost wakeup would strand
+# reads or positions, and ready_queue races producers against
+# one-read-per-turn workers to catch exactly that.
 for run in $(seq 1 20); do
-    if ! cargo test --release --offline -q -p rfidraw-serve --test backpressure_parking; then
-        echo "backpressure_parking failed on run $run of 20" >&2
-        exit 1
-    fi
+    for suite in backpressure_parking service_local reactor_service ready_queue; do
+        if ! cargo test --release --offline -q -p rfidraw-serve --test "$suite"; then
+            echo "$suite failed on run $run of 20" >&2
+            exit 1
+        fi
+    done
 done
 cargo test --release --offline -q -p rfidraw-serve --test backpressure_parking \
     blocked_session_does_not_stall_other_connections
