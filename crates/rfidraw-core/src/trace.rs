@@ -23,6 +23,7 @@ use crate::geom::{Plane, Point2};
 use crate::position::Candidate;
 use crate::stream::PairSnapshot;
 use crate::vote::PairMeasurement;
+use rfidraw_simd::SimdMode;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
 
@@ -157,6 +158,11 @@ struct StepScratch {
     terms: Vec<f64>,
     /// Each antenna's distance from the offset being scored.
     dist: Vec<f64>,
+    /// Each wide antenna's distance from every offset of the disc row
+    /// being scanned, `side` per antenna.
+    row_dist: Vec<f64>,
+    /// The wide-pair vote of every offset of that row.
+    row_vote: Vec<f64>,
 }
 
 thread_local! {
@@ -477,8 +483,15 @@ impl TrajectoryTracer {
     /// (`>`, so ties keep the earlier offset) or fall short of the vote at
     /// `prev` itself (`<`: an earlier offset *equal* to it still wins the
     /// tie), which is scored first as that floor.
+    ///
+    /// The wide terms of a whole disc row are summed first, by the
+    /// [`rfidraw_simd`] row kernels (bit-identical to scalar); only
+    /// offsets whose wide vote passes both tests go on to the coarse
+    /// terms. A wide sum that fails a test fails it at some partial sum
+    /// too, and one that passes passes every partial sum, so the offsets
+    /// kept and their votes are the same as scoring term by term.
     fn step(&self, prev: Point2, s: &mut StepScratch) -> (Point2, f64) {
-        let StepScratch { wide, coarse, terms, dist } = s;
+        let StepScratch { wide, coarse, terms, dist, row_dist, row_vote } = s;
         let res = self.config.step_resolution;
         let half = self.half;
         let side = (2 * half + 1) as usize;
@@ -508,18 +521,18 @@ impl TrajectoryTracer {
                 dist[a] = (terms[base + c] + terms[base + side + r]).sqrt();
             }
         };
-        // The vote at column `c`, row `r`, or `None` once a partial vote
-        // drops below `floor` or to `best`.
-        let mut score = |c: usize, r: usize, floor: f64, best: f64| -> Option<f64> {
-            measure(dist, &self.wide_ants, c, r);
-            let mut v = 0.0;
-            for t in wide.iter() {
-                let x = self.turns_factor * (dist[t.i] - dist[t.j]) - t.turns;
-                v -= x * x;
-                if v < floor || v <= best {
-                    return None;
-                }
-            }
+
+        // The wide vote at `prev` itself, for the floor.
+        let centre = half as usize;
+        measure(dist, &self.wide_ants, centre, centre);
+        let mut centre_wide = 0.0;
+        for t in wide.iter() {
+            let x = self.turns_factor * (dist[t.i] - dist[t.j]) - t.turns;
+            centre_wide -= x * x;
+        }
+        // The vote at column `c`, row `r` given its wide vote `v`, or
+        // `None` once a partial vote drops below `floor` or to `best`.
+        let mut score_coarse = |mut v: f64, c: usize, r: usize, floor: f64, best: f64| {
             measure(dist, coarse_ants, c, r);
             for t in coarse.iter() {
                 let x = self.turns_factor * (dist[t.i] - dist[t.j]) - t.turns;
@@ -531,20 +544,40 @@ impl TrajectoryTracer {
             }
             Some(v)
         };
-
-        let centre = half as usize;
-        let floor = score(centre, centre, f64::NEG_INFINITY, f64::NEG_INFINITY)
-            .unwrap_or(f64::NEG_INFINITY);
+        let none = f64::NEG_INFINITY;
+        let floor = score_coarse(centre_wide, centre, centre, none, none).unwrap_or(none);
         let mut best = prev;
         let mut best_vote = f64::NEG_INFINITY;
+        row_dist.resize(ants.len() * side, 0.0);
+        row_vote.resize(side, 0.0);
         for span in &self.disc {
             let r = (span.iz + half) as usize;
             let z = prev.z + f64::from(span.iz) * res;
-            for ix in span.first..=span.last {
-                let Some(v) = score((ix + half) as usize, r, floor, best_vote) else { continue };
+            let (c0, width) = ((span.first + half) as usize, (span.last - span.first + 1) as usize);
+            for &a in &self.wide_ants {
+                let base = 2 * side * a;
+                let out = &mut row_dist[side * a..side * a + width];
+                let cols = &terms[base + c0..base + c0 + width];
+                rfidraw_simd::row_distances_f64(out, cols, terms[base + side + r], SimdMode::Auto);
+            }
+            let votes = &mut row_vote[..width];
+            votes.fill(0.0);
+            for t in wide.iter() {
+                let di = &row_dist[side * t.i..side * t.i + width];
+                let dj = &row_dist[side * t.j..side * t.j + width];
+                let (f, turns) = (self.turns_factor, t.turns);
+                rfidraw_simd::pair_vote_f64(votes, di, dj, f, turns, SimdMode::Auto);
+            }
+            for (k, &wide_vote) in votes.iter().enumerate() {
+                if wide_vote < floor || wide_vote <= best_vote {
+                    continue;
+                }
+                let Some(v) = score_coarse(wide_vote, c0 + k, r, floor, best_vote) else {
+                    continue;
+                };
                 if v > best_vote {
                     best_vote = v;
-                    best = Point2::new(prev.x + f64::from(ix) * res, z);
+                    best = Point2::new(prev.x + f64::from(span.first + k as i32) * res, z);
                 }
             }
         }

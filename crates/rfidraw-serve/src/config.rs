@@ -197,7 +197,8 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Worker threads draining ready sessions from a FIFO ready queue
     /// (each session at most `drain_batch` reads per turn, then back to
-    /// the tail). Workers sleep until a session is marked ready or the
+    /// the tail; sessions still waiting for their first position are
+    /// served first). Workers sleep until a session is marked ready or the
     /// idle sweep is due. `None` starts no threads: the owner pumps
     /// manually via
     /// [`crate::TrackingService::pump`] (deterministic single-threaded

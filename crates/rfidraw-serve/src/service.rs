@@ -16,6 +16,12 @@
 //! and idle sessions cost nothing. The idle sweep runs at a deadline — the
 //! earliest instant a session can go idle — not on a heartbeat.
 //!
+//! **Opening lane.** A producer's mark puts a session that has not yet
+//! delivered a position in a second FIFO that workers serve first, but
+//! never twice in a row while tracking sessions wait. Its first position
+//! is the time until a new tag's cursor appears and its heaviest drain
+//! (acquisition), and a gateway's window burst tends to deliver it last.
+//!
 //! **Ready-queue invariant.** A session with queued reads is in the ready
 //! queue or held by the one worker draining it. The worker clears
 //! `queued` only after releasing the session, then re-checks the queue
@@ -96,11 +102,32 @@ pub struct SessionView {
 
 /// The workers' shared scheduling state (see the module docs).
 struct Ready {
-    /// Sessions with reads to drain, oldest first, each at most once.
+    /// Sessions with reads to drain, oldest first, each at most once
+    /// across both lanes.
     sessions: VecDeque<Arc<SessionShared>>,
+    /// Sessions marked ready by a producer before their first position:
+    /// that wait is the time until a new tag's cursor appears.
+    opening: VecDeque<Arc<SessionShared>>,
+    /// Whether the last pop came from `opening`.
+    opening_last: bool,
     /// When the next idle sweep is due: never later than the earliest
     /// instant a live session can go idle.
     next_sweep: Instant,
+}
+
+impl Ready {
+    /// The next session to drain: the opening lane first, but never twice
+    /// in a row while tracking sessions wait, so a flood of new tags
+    /// cannot starve the sessions already tracking.
+    fn pop(&mut self) -> Option<Arc<SessionShared>> {
+        let opening = !self.opening.is_empty() && (!self.opening_last || self.sessions.is_empty());
+        self.opening_last = opening;
+        if opening {
+            self.opening.pop_front()
+        } else {
+            self.sessions.pop_front()
+        }
+    }
 }
 
 struct ServiceInner {
@@ -156,10 +183,18 @@ impl ServiceInner {
     }
 
     /// Queues `session` for draining unless it is already queued, and
-    /// wakes one worker.
-    fn mark_ready(&self, session: &Arc<SessionShared>) {
+    /// wakes one worker. A producer's mark puts a session that has not
+    /// delivered a position yet in the opening lane; a worker's re-queue
+    /// of a partly drained session always goes to the tracking lane.
+    fn mark_ready(&self, session: &Arc<SessionShared>, producer: bool) {
         if !session.queued.swap(true, Ordering::SeqCst) {
-            self.ready().sessions.push_back(Arc::clone(session));
+            let mut ready = self.ready();
+            if producer && session.metrics.positions.get() == 0 {
+                ready.opening.push_back(Arc::clone(session));
+            } else {
+                ready.sessions.push_back(Arc::clone(session));
+            }
+            drop(ready);
             self.work.notify_one();
         }
     }
@@ -177,7 +212,7 @@ impl ServiceInner {
         session.claimed.store(false, Ordering::Release);
         session.queued.swap(false, Ordering::SeqCst);
         if session.queue_depth() > 0 {
-            self.mark_ready(&session);
+            self.mark_ready(&session, false);
         } else if session.idle_for() >= self.cfg.idle_timeout && !session.is_closed() {
             // The sweep skipped it while it was busy: sweep again now.
             self.ready().next_sweep = Instant::now();
@@ -316,7 +351,7 @@ impl LocalClient {
             self.inner.cfg.backpressure,
             self.inner.cfg.queue_capacity,
             &self.inner.global,
-            &|| self.inner.mark_ready(&session),
+            &|| self.inner.mark_ready(&session, true),
         );
         Ok(receipt)
     }
@@ -419,7 +454,7 @@ impl LocalClient {
     /// reactor's non-blocking ingest path enqueues without going through
     /// `ingest`).
     pub(crate) fn mark_ready(&self, session: &Arc<SessionShared>) {
-        self.inner.mark_ready(session);
+        self.inner.mark_ready(session, true);
     }
 
     /// Records a wire-validation refusal without touching the session
@@ -461,7 +496,12 @@ impl TrackingService {
         let inner = Arc::new(ServiceInner {
             cfg,
             registry,
-            ready: Mutex::new(Ready { sessions: VecDeque::new(), next_sweep }),
+            ready: Mutex::new(Ready {
+                sessions: VecDeque::new(),
+                opening: VecDeque::new(),
+                opening_last: false,
+                next_sweep,
+            }),
             work: Condvar::new(),
             global: GlobalMetrics::new(recorder),
             shutdown: AtomicBool::new(false),
@@ -490,7 +530,12 @@ impl TrackingService {
     /// engine in manual mode (`workers: None`) and is also safe alongside
     /// worker threads (each ready session has one drainer).
     pub fn pump(&self) -> usize {
-        let ready = std::mem::take(&mut self.inner.ready().sessions);
+        let ready = {
+            let mut ready = self.inner.ready();
+            let mut all = std::mem::take(&mut ready.opening);
+            all.append(&mut ready.sessions);
+            all
+        };
         let n = ready.into_iter().map(|s| self.inner.drain_ready(s)).sum();
         self.inner.sweep_if_due();
         n
@@ -557,7 +602,7 @@ fn worker_loop(inner: &ServiceInner) {
             ready = inner.ready();
             continue;
         }
-        if let Some(session) = ready.sessions.pop_front() {
+        if let Some(session) = ready.pop() {
             drop(ready);
             inner.drain_ready(session);
             ready = inner.ready();
@@ -572,4 +617,82 @@ fn worker_loop(inner: &ServiceInner) {
 /// (an idle timeout of `Duration::MAX` means "never").
 fn later(from: Instant, after: Duration) -> Instant {
     from.checked_add(after).unwrap_or_else(|| from + Duration::from_secs(u64::from(u32::MAX)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{BackpressurePolicy, TrackerTemplate};
+    use rfidraw_core::array::AntennaId;
+    use rfidraw_core::geom::Rect;
+
+    fn manual_service() -> TrackingService {
+        let region = Rect::new(Point2::new(0.5, 0.3), Point2::new(2.3, 1.7));
+        let mut cfg = ServeConfig::new(TrackerTemplate::paper_default(region));
+        cfg.workers = None;
+        cfg.backpressure = BackpressurePolicy::Block;
+        cfg.drain_batch = 2;
+        TrackingService::start(cfg)
+    }
+
+    fn reads(n: usize) -> Vec<PhaseRead> {
+        (0..n)
+            .map(|i| PhaseRead {
+                t: i as f64 * 0.001,
+                antenna: AntennaId(1 + (i % 8) as u8),
+                phase: 0.5,
+            })
+            .collect()
+    }
+
+    fn lanes(service: &TrackingService) -> (Vec<Epc>, Vec<Epc>) {
+        let ready = service.inner.ready();
+        let epcs = |q: &VecDeque<Arc<SessionShared>>| q.iter().map(|s| s.epc).collect();
+        (epcs(&ready.opening), epcs(&ready.sessions))
+    }
+
+    #[test]
+    fn only_producer_marks_before_the_first_position_use_the_opening_lane() {
+        let service = manual_service();
+        let client = service.client();
+        let (fresh, tracking) = (Epc::from_index(1), Epc::from_index(2));
+        client.ingest(fresh, &reads(3)).unwrap();
+        let session = service.inner.get_or_create(tracking).unwrap();
+        session.metrics.positions.inc();
+        client.ingest(tracking, &reads(1)).unwrap();
+        assert_eq!(lanes(&service), (vec![fresh], vec![tracking]));
+
+        // A partly drained session goes back to the tracking lane, even
+        // though it has no position yet.
+        let opening = service.inner.ready().pop().unwrap();
+        assert_eq!(opening.epc, fresh);
+        assert_eq!(service.inner.drain_ready(opening), 2);
+        assert_eq!(lanes(&service), (vec![], vec![tracking, fresh]));
+    }
+
+    #[test]
+    fn opening_lane_goes_first_but_never_twice_in_a_row_while_others_wait() {
+        let service = manual_service();
+        let client = service.client();
+        let epcs: Vec<Epc> = (1..=5).map(Epc::from_index).collect();
+        for &epc in &epcs {
+            client.ingest(epc, &reads(1)).unwrap();
+        }
+        {
+            let mut ready = service.inner.ready();
+            // Move the last two to the tracking lane.
+            for _ in 0..2 {
+                let s = ready.opening.pop_back().unwrap();
+                ready.sessions.push_front(s);
+            }
+        }
+        let mut order = Vec::new();
+        while let Some(s) = service.inner.ready().pop() {
+            order.push(s.epc);
+        }
+        let [a, b, c, x, y] = epcs[..] else {
+            unreachable!()
+        };
+        assert_eq!(order, vec![a, x, b, y, c]);
+    }
 }

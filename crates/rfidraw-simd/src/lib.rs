@@ -8,6 +8,8 @@
 //! crate makes the wide path explicit: one sweep function per table
 //! precision, each with an AVX2 kernel, an SSE4.1 kernel, and a scalar
 //! kernel, selected **at runtime** from CPUID (detected once, cached).
+//! Two f64 row kernels ([`row_distances_f64`], [`pair_vote_f64`]) do the
+//! same for the trajectory tracer's per-row wide-pair votes.
 //!
 //! ## Bit-identity
 //!
@@ -278,6 +280,79 @@ fn sweep_i8_scalar(acc: &mut [i32], column: &[i8], measured: i8) {
     }
 }
 
+// ---------------------------------------------------------------------
+// f64: the tracer's disc-row distances and wide-pair votes.
+// ---------------------------------------------------------------------
+
+/// Sets `out[k] = (cols[k] + row).sqrt()` for every offset of a disc row:
+/// one antenna's distance from each offset, from the hoisted column term
+/// `dx² + dy²` and the row term `dz²`. IEEE-754 addition and square root
+/// are correctly rounded per lane, so every kernel gives the scalar bits.
+///
+/// # Panics
+/// Panics if `out` and `cols` lengths differ.
+pub fn row_distances_f64(out: &mut [f64], cols: &[f64], row: f64, mode: SimdMode) {
+    assert_eq!(
+        out.len(),
+        cols.len(),
+        "row and column terms must be the same length"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if mode == SimdMode::Auto && level() == LEVEL_AVX2 {
+        // SAFETY: avx2 was detected at runtime.
+        return unsafe { x86::row_distances_f64_avx2(out, cols, row) };
+    }
+    let _ = mode;
+    row_distances_f64_scalar(out, cols, row);
+}
+
+fn row_distances_f64_scalar(out: &mut [f64], cols: &[f64], row: f64) {
+    for (d, &col) in out.iter_mut().zip(cols) {
+        *d = (col + row).sqrt();
+    }
+}
+
+/// Subtracts `(factor·(di[k] − dj[k]) − turns)²` from `votes[k]` for every
+/// offset: one pair's vote term over a disc row. Per lane the sequence is
+/// the scalar one (`sub`, `mul`, `sub`, `mul`, `sub`, no fused
+/// multiply-add), so every kernel gives the scalar bits.
+///
+/// # Panics
+/// Panics if the three slice lengths differ.
+pub fn pair_vote_f64(
+    votes: &mut [f64],
+    di: &[f64],
+    dj: &[f64],
+    factor: f64,
+    turns: f64,
+    mode: SimdMode,
+) {
+    assert_eq!(
+        votes.len(),
+        di.len(),
+        "votes and distances must be the same length"
+    );
+    assert_eq!(
+        votes.len(),
+        dj.len(),
+        "votes and distances must be the same length"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if mode == SimdMode::Auto && level() == LEVEL_AVX2 {
+        // SAFETY: avx2 was detected at runtime.
+        return unsafe { x86::pair_vote_f64_avx2(votes, di, dj, factor, turns) };
+    }
+    let _ = mode;
+    pair_vote_f64_scalar(votes, di, dj, factor, turns);
+}
+
+fn pair_vote_f64_scalar(votes: &mut [f64], di: &[f64], dj: &[f64], factor: f64, turns: f64) {
+    for ((v, &a), &b) in votes.iter_mut().zip(di).zip(dj) {
+        let x = factor * (a - b) - turns;
+        *v -= x * x;
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The `std::arch` kernels. Every function is gated on a
@@ -285,13 +360,61 @@ mod x86 {
     //! pointer it dereferences lies within a caller-provided slice
     //! (`head` full vectors, then the scalar tail).
 
-    use super::{sweep_f32_scalar, sweep_i16_dual_scalar, sweep_i16_scalar, sweep_i8_scalar, MAGIC};
+    use super::{
+        pair_vote_f64_scalar, row_distances_f64_scalar, sweep_f32_scalar, sweep_i16_dual_scalar,
+        sweep_i16_scalar, sweep_i8_scalar, MAGIC,
+    };
     use std::arch::x86_64::*;
 
     /// Largest multiple of `lanes` that fits `len`.
     #[inline]
     fn head(len: usize, lanes: usize) -> usize {
         len - len % lanes
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn row_distances_f64_avx2(out: &mut [f64], cols: &[f64], row: f64) {
+        let n = head(out.len(), 4);
+        let r = _mm256_set1_pd(row);
+        let mut i = 0;
+        while i < n {
+            // SAFETY: i + 4 <= n <= len for both slices.
+            unsafe {
+                let c = _mm256_loadu_pd(cols.as_ptr().add(i));
+                _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_sqrt_pd(_mm256_add_pd(c, r)));
+            }
+            i += 4;
+        }
+        row_distances_f64_scalar(&mut out[n..], &cols[n..], row);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn pair_vote_f64_avx2(
+        votes: &mut [f64],
+        di: &[f64],
+        dj: &[f64],
+        factor: f64,
+        turns: f64,
+    ) {
+        let n = head(votes.len(), 4);
+        let f = _mm256_set1_pd(factor);
+        let t = _mm256_set1_pd(turns);
+        let mut i = 0;
+        while i < n {
+            // SAFETY: i + 4 <= n <= len for all three slices.
+            unsafe {
+                let a = _mm256_loadu_pd(di.as_ptr().add(i));
+                let b = _mm256_loadu_pd(dj.as_ptr().add(i));
+                let x = _mm256_sub_pd(_mm256_mul_pd(f, _mm256_sub_pd(a, b)), t);
+                let v = _mm256_loadu_pd(votes.as_ptr().add(i));
+                _mm256_storeu_pd(
+                    votes.as_mut_ptr().add(i),
+                    _mm256_sub_pd(v, _mm256_mul_pd(x, x)),
+                );
+            }
+            i += 4;
+        }
+        pair_vote_f64_scalar(&mut votes[n..], &di[n..], &dj[n..], factor, turns);
     }
 
     #[target_feature(enable = "avx2")]
@@ -476,6 +599,32 @@ mod tests {
     /// so each kernel's head loop and scalar tail are both exercised.
     fn lengths() -> impl Iterator<Item = usize> {
         (0..40).chain([63, 64, 100, 1000])
+    }
+
+    #[test]
+    fn f64_row_kernels_auto_match_scalar_bitwise() {
+        let mut rng = Rng(0xd15c);
+        let metres = |rng: &mut Rng| (rng.next() % 4_000_000) as f64 / 1e6;
+        for len in lengths() {
+            let cols: Vec<f64> = (0..len).map(|_| metres(&mut rng)).collect();
+            let row = metres(&mut rng);
+            let (mut auto, mut scalar) = (vec![0.0; len], vec![0.0; len]);
+            row_distances_f64(&mut auto, &cols, row, SimdMode::Auto);
+            row_distances_f64(&mut scalar, &cols, row, SimdMode::Scalar);
+            assert_eq!(bits64(&auto), bits64(&scalar), "distances, len {len}");
+
+            let dj: Vec<f64> = (0..len).map(|_| metres(&mut rng)).collect();
+            let (factor, turns) = (metres(&mut rng) * 20.0, metres(&mut rng) * 5.0);
+            let start: Vec<f64> = (0..len).map(|i| -(i as f64) * 0.375).collect();
+            let (mut auto_v, mut scalar_v) = (start.clone(), start);
+            pair_vote_f64(&mut auto_v, &auto, &dj, factor, turns, SimdMode::Auto);
+            pair_vote_f64(&mut scalar_v, &scalar, &dj, factor, turns, SimdMode::Scalar);
+            assert_eq!(bits64(&auto_v), bits64(&scalar_v), "votes, len {len}");
+        }
+    }
+
+    fn bits64(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
